@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -151,6 +152,8 @@ def _load_graph(path: Optional[str]) -> graphs.TestGraph:
 
 
 def _fmt(x: Any) -> str:
+    if isinstance(x, complex):
+        return "%.12g%+.12gi" % (x.real, x.imag)
     return "%.12g" % float(x)
 
 
@@ -339,20 +342,31 @@ def _cmd_concentration(res: _Resolver) -> int:
         )
         means.append(float(est.mean.real if isinstance(est.mean, complex) else est.mean))
         rows.append((n, samples, est.mean, est.stderr, 0.0, est.z(0.0)))
-    import numpy as np
-
-    slope = float(np.polyfit(np.log(ns), np.log(means), 1)[0])
     loops = sum(1 for e in T.edges if e.src == e.tar)
     bound = -(order // 2) * (loops + 1)
     out = res.str_("out")
     _write_out(_csv(rows), out)
-    record = {
+    record: dict[str, Any] = {
         "order": order,
         "loop_edges": loops,
-        "slope": float(_fmt(slope)),
         "slope_bound": bound,
     }
-    line = json.dumps(record, sort_keys=True) + "\n"
+    bad = [n for n, v in zip(ns, means) if not (math.isfinite(v) and v > 0)]
+    if bad:
+        record["slope"] = None
+        record["slope_reason"] = (
+            "log-log fit needs positive finite central moments; not so at n="
+            + ",".join(map(str, bad))
+        )
+    elif len(set(ns)) < 2:
+        record["slope"] = None
+        record["slope_reason"] = "log-log fit needs at least two distinct n"
+    else:
+        import numpy as np
+
+        slope = float(np.polyfit(np.log(ns), np.log(means), 1)[0])
+        record["slope"] = float(_fmt(slope))
+    line = json.dumps(record, sort_keys=True, allow_nan=False) + "\n"
     if out:
         sys.stdout.write(line)
     else:

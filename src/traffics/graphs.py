@@ -430,13 +430,12 @@ class TrafficPolynomial:
     def from_terms(items: Iterable[tuple[GraphMonomial, Any]]) -> "TrafficPolynomial":
         acc: dict[tuple, tuple[GraphMonomial, Any]] = {}
         for mono, coeff in items:
-            cm = canonical_form(mono)
-            key = canonical_key(cm)
+            key = canonical_key(mono)
             if key in acc:
                 old, c0 = acc[key]
                 acc[key] = (old, c0 + coeff)
             else:
-                acc[key] = (cm, coeff)
+                acc[key] = (canonical_form(mono), coeff)
         kept = [(k, mc) for k, mc in acc.items() if mc[1] != 0]
         kept.sort(key=lambda kv: kv[0])
         return TrafficPolynomial(tuple(mc for _, mc in kept))
@@ -486,14 +485,6 @@ class TrafficPolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-
-def hadamard_poly(p1: Any, p2: Any) -> TrafficPolynomial:
-    """Bilinear extension of the entrywise product to polynomials."""
-    p1, p2 = TrafficPolynomial.wrap(p1), TrafficPolynomial.wrap(p2)
-    return TrafficPolynomial.from_terms(
-        (hadamard(m1, m2), c1 * c2) for m1, c1 in p1.terms for m2, c2 in p2.terms
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +564,9 @@ def _refine(n: int, edges: tuple[Edge, ...], colors: list[int]) -> list[int]:
 
 def _canon_search(
     n: int, edges: tuple[Edge, ...], roots: tuple[int, ...], colors0: list[int]
-) -> tuple[tuple, list[int]]:
+) -> tuple:
+    """Least (sorted relabelled edges, relabelled roots) over the leaves of
+    the individualization-refinement tree."""
     edge_ms = sorted((e.src, e.tar, e.label, e.star) for e in edges)
 
     def swap_is_automorphism(u: int, w: int) -> bool:
@@ -582,12 +575,11 @@ def _canon_search(
 
         return sorted((m(s), m(t), l, st) for s, t, l, st in edge_ms) == edge_ms
 
-    best: list = [None, None]
+    best: list = [None]
 
     def rec(colors: list[int]) -> None:
         colors = _refine(n, edges, colors)
         target = -1
-        size = n + 1
         counts: dict[int, int] = {}
         for c in colors:
             counts[c] = counts.get(c, 0) + 1
@@ -602,7 +594,7 @@ def _canon_search(
                 tuple(perm[r] for r in roots),
             )
             if best[0] is None or enc < best[0]:
-                best[0], best[1] = enc, list(perm)
+                best[0] = enc
             return
         members = [v for v in range(n) if colors[v] == target]
         kept: list[int] = []
@@ -615,10 +607,10 @@ def _canon_search(
             rec(child)
 
     rec(colors0)
-    return best[0], best[1]
+    return best[0]
 
 
-def _canon(obj: GraphLike, max_vertices: int) -> tuple[tuple, GraphLike]:
+def _canon_key(obj: GraphLike, max_vertices: int) -> tuple:
     if isinstance(obj, TestGraph):
         g, roots, tag = obj, (), "tg"
     elif isinstance(obj, GraphMonomial):
@@ -635,28 +627,42 @@ def _canon(obj: GraphLike, max_vertices: int) -> tuple[tuple, GraphLike]:
     role: list[tuple[int, ...]] = [tuple(i for i, r in enumerate(roots) if r == v) for v in range(n)]
     ranks = {s: i for i, s in enumerate(sorted(set(role)))}
     colors0 = [ranks[role[v]] for v in range(n)]
-    enc, perm = _canon_search(n, g.edges, roots, colors0)
-    key = (tag, n) + enc
-    ng = TestGraph(n, tuple(sorted(
-        Edge(perm[e.src], perm[e.tar], e.label, e.star) for e in g.edges
-    )))
-    if tag == "tg":
-        return key, ng
-    if tag == "gm":
-        return key, GraphMonomial(ng, perm[roots[0]], perm[roots[1]])
-    return key, NGraphMonomial(ng, tuple(perm[r] for r in roots))
+    return (tag, n) + _canon_search(n, g.edges, roots, colors0)
 
 
 @lru_cache(maxsize=1 << 16)
 def canonical_key(obj: GraphLike, max_vertices: int = _CANON_CAP) -> tuple:
-    """Hashable isomorphism invariant (complete for the supported sizes)."""
-    return _canon(obj, max_vertices)[0]
+    """Hashable isomorphism invariant (complete for the supported sizes).
+
+    The key is ``(tag, n, edges, roots)``: the relabelled edges, sorted,
+    and the relabelled roots, so it holds the canonical form itself.
+    """
+    return _canon_key(obj, max_vertices)
+
+
+# the cached original, looked up by canonical_form even while a caller has
+# rebound the module name
+_cached_key = canonical_key
 
 
 @lru_cache(maxsize=1 << 16)
 def canonical_form(obj: GraphLike, max_vertices: int = _CANON_CAP) -> GraphLike:
-    """Canonical relabelling: isomorphic inputs give equal outputs."""
-    return _canon(obj, max_vertices)[1]
+    """Canonical relabelling: isomorphic inputs give equal outputs.
+
+    Rebuilt from the key, so a graph whose key is cached is not searched
+    again.  The key lookup repeats the caller's arguments, because the key
+    cache tells ``(g,)`` from ``(g, 16)``.
+    """
+    if max_vertices == _CANON_CAP:
+        tag, n, edges, roots = _cached_key(obj)
+    else:
+        tag, n, edges, roots = _cached_key(obj, max_vertices)
+    ng = TestGraph(n, tuple(Edge(*e) for e in edges))
+    if tag == "tg":
+        return ng
+    if tag == "gm":
+        return GraphMonomial(ng, roots[0], roots[1])
+    return NGraphMonomial(ng, roots)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Limiting moments of graph polynomials.
 
-The m-th trace moment of a polynomial a expands multilinearly into cycle
-test graphs: close a^m into a loop, substitute each edge by a term of a,
-and sum the limiting injective values over all double-tree quotients.  With
-an exact limit evaluator the result is exact (rationals in, rationals out);
-the guard order 12 keeps the quotient scans tractable.
+The trace moment E (1/n) tr(a_1 ... a_m) expands multilinearly into cycle
+test graphs: slot j of the directed m-cycle takes one term of a_j, so each
+word of term choices gives one closed graph, and its limit is the sum of the
+limiting injective values over its double-tree quotients.  Rotating a word
+only relabels the cycle and keeps the product of coefficients, so the sum
+runs over rotation classes of cyclic words, one graph per class, weighted by
+the number of words in the class.  The m-th moment of a is the case
+a_1 = ... = a_m = a.  With an exact limit evaluator the result is exact
+(rationals in, rationals out); the guard order 12 keeps the quotient scans
+tractable.
 
 The Markov element p*x + (q/2) row(x) + (q/2) col(x) is the workhorse: its
 moments are those of the free convolution of a semicircle of variance p^2
@@ -15,7 +20,9 @@ double edge and the double loop realizes the traffic CLT interpolation.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -84,6 +91,43 @@ def polynomial_trace_ltd(
     return total
 
 
+def _cyclic_word_ltd(
+    polys: Sequence[TrafficPolynomial], ltd_fn: Callable[[TestGraph], Number]
+) -> Number:
+    """Limit of E (1/n) tr(a_1 ... a_m), summed over rotation classes of
+    cyclic words.
+
+    A word picks one term of polynomial j for slot j of the m-cycle; terms
+    get ids shared across the slots, so rotating a word only relabels the
+    cycle and keeps the coefficient.  Each class of the product set is
+    substituted once, at its least rotation, and weighted by how many words
+    of the product set it holds.
+    """
+    m = len(polys)
+    ids: dict[tuple[GraphMonomial, Any], int] = {}
+    slot_ids = [tuple(ids.setdefault(t, len(ids)) for t in p.terms) for p in polys]
+    terms = list(ids)
+    classes = Counter(
+        min(w[i:] + w[:i] for i in range(m)) for w in product(*slot_ids)
+    )
+    slots = [f"slot{j}" for j in range(m)]
+    cycle = TestGraph(m, tuple(Edge((j + 1) % m, j, slots[j]) for j in range(m)))
+    memo: dict[tuple, Number] = {}
+    total: Number = 0
+    for word, count in classes.items():
+        coeff: Any = count
+        for i in word:
+            coeff = coeff * terms[i][1]
+        ((_, g),) = substitute_graph(
+            cycle, {s: terms[i][0] for s, i in zip(slots, word)}
+        )
+        key = canonical_key(g)
+        if key not in memo:
+            memo[key] = ltd_trace(g, ltd_fn)
+        total = total + coeff * memo[key]
+    return total
+
+
 def traffic_moment(
     a: Any,
     m: int,
@@ -96,7 +140,11 @@ def traffic_moment(
     """
     if not 0 <= m <= max_order:
         raise ValueError(f"order {m} outside [0, {max_order}]")
-    return polynomial_trace_ltd(poly_power(a, m), ltd_fn or wigner_ltd)
+    ltd = ltd_fn or wigner_ltd
+    poly = _as_poly(a)
+    if m == 0:
+        return ltd_trace(TestGraph(1), ltd)
+    return _cyclic_word_ltd([poly] * m, ltd)
 
 
 def word_trace_terms(
@@ -127,15 +175,10 @@ def mixed_moment_ltd(
 ) -> Number:
     """Exact limit of E (1/n) tr(a_1 ... a_m) for polynomials in independent
     labels, via the quotient sum."""
-    ltd = ltd_fn or wigner_ltd
-    memo: dict[tuple, Number] = {}
-    total: Number = 0
-    for coeff, g in word_trace_terms(elements):
-        key = canonical_key(g)
-        if key not in memo:
-            memo[key] = ltd_trace(g, ltd)
-        total = total + coeff * memo[key]
-    return total
+    m = len(elements)
+    if not 1 <= m <= MAX_ORDER:
+        raise ValueError(f"word length {m} outside [1, {MAX_ORDER}]")
+    return _cyclic_word_ltd([_as_poly(a) for a in elements], ltd_fn or wigner_ltd)
 
 
 # ---------------------------------------------------------------------------

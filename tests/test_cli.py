@@ -5,6 +5,8 @@ import json
 import pytest
 
 from traffics.cli import CSV_HEADER, main
+from traffics.limits import wigner_ltd
+from traffics.moments import parse_poly, traffic_moment
 
 STAR = "n 3\ne 0 1 x\ne 1 0 x\ne 0 2 x\ne 2 0 x\n"
 PAD = "e 0 1 x; e 1 0 x"
@@ -146,6 +148,35 @@ def test_concentration_out_file_keeps_json_on_stdout(tmp_path, capsys):
     assert json.loads(out)["order"] == 2
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_concentration_degenerate_moments_give_null_slope(capsys):
+    # one sample per n makes every central moment exactly zero
+    code, out, err = run(
+        capsys, "concentration", "--graph", PAD, "--n", "10,20", "--samples", "1",
+    )
+    assert code == 0 and err == ""
+    record = _strict_json(out.rsplit("\n\n", 1)[1])
+    assert record["slope"] is None
+    assert "n=10,20" in record["slope_reason"]
+    assert record["slope_bound"] == -1
+
+
+def test_concentration_single_n_gives_null_slope(capsys):
+    code, out, _ = run(
+        capsys, "concentration", "--graph", PAD, "--n", "20", "--samples", "10",
+    )
+    assert code == 0
+    record = _strict_json(out.rsplit("\n\n", 1)[1])
+    assert record["slope"] is None
+    assert "two distinct n" in record["slope_reason"]
+
+
 def test_independence_audit_passes_for_wigner(capsys):
     code, out, _ = run(capsys, "independence", "--max-pads", "2")
     assert code == 0
@@ -185,6 +216,23 @@ def test_moments_markov(capsys):
     )
     assert code == 0
     assert out.splitlines()[-1] == "4 9"
+
+
+def test_moments_complex_beta(capsys):
+    poly = "x + 0.5*row(x) + 0.5*col(x)"
+    code, out, err = run(
+        capsys, "moments", "--poly", poly, "--order", "4", "--beta", "x=0.5+0.5i"
+    )
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "order value"
+    beta = {"x": 0.5 + 0.5j}
+    for line in lines[1:]:
+        k, text = line.split()
+        want = traffic_moment(parse_poly(poly), int(k), lambda T: wigner_ltd(T, beta))
+        got = complex(text.replace("i", "j"))
+        assert abs(got - want) < 1e-9
+    assert lines[2].endswith("i")
 
 
 def test_selftest_passes(capsys):

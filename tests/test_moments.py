@@ -1,13 +1,16 @@
 """Limiting moments of graph polynomials and the Markov family."""
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from traffics.graphs import Edge, TestGraph, canonical_key, edge_monomial
+from traffics.ensembles import BandProfile
+from traffics.graphs import Edge, TestGraph, TrafficPolynomial, canonical_key, edge_monomial
 from traffics.independence import free_cumulants, noncrossing_partitions
+from traffics.limits import ltd_trace, rbm_ltd, wigner_ltd
 from traffics.moments import (
     clt_alpha_split,
     eval_polynomial_matrix,
@@ -73,8 +76,6 @@ def test_trace_closure_shapes():
 
 
 def test_unit_polynomial_traces_to_one():
-    from traffics.limits import wigner_ltd
-
     assert polynomial_trace_ltd(parse_poly("unit"), wigner_ltd) == 1
     assert polynomial_trace_ltd(parse_poly("3*unit - x"), wigner_ltd) == 3
 
@@ -173,6 +174,87 @@ def test_mixed_moments_of_single_letters():
 def test_mixed_moment_agrees_with_powers():
     a = markov_element(1, 1)
     assert mixed_moment_ltd([a] * 4) == traffic_moment(a, 4)
+
+
+# ---------------------------------------------------------------------------
+# cyclic-word sums against the power-then-close oracle
+
+def _starred():
+    x = TrafficPolynomial.wrap(edge_monomial("x"))
+    return x + 2 * TrafficPolynomial.wrap(edge_monomial("x", star=True))
+
+
+ORACLE_POLYS = {
+    "markov": lambda: markov_element(Fraction(1, 2), Fraction(3, 2)),
+    "two_labels": lambda: parse_poly("x + 1/2*row(y) - col(x)"),
+    "starred": _starred,
+    "unit": lambda: parse_poly("1/2*x + 3*unit - col(x)"),
+    "cancelling": lambda: parse_poly("x*row(x) - row(x)*x"),
+    "zero": lambda: parse_poly("x - x"),
+}
+
+
+def power_trace(a, m, ltd=wigner_ltd):
+    return polynomial_trace_ltd(poly_power(a, m), ltd)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POLYS))
+def test_traffic_moment_matches_power_then_close(name):
+    a = ORACLE_POLYS[name]()
+    for m in range(7):
+        got = traffic_moment(a, m)
+        assert got == power_trace(a, m), (name, m)
+        assert isinstance(got, (int, Fraction))
+
+
+def test_cyclic_words_under_band_evaluators():
+    a = markov_element(Fraction(1, 2), Fraction(3, 2))
+    b = parse_poly("x + 1/2*row(y) - col(x)")
+    regimes = {
+        "x": BandProfile("proportional", c=Fraction(1, 2)),
+        "y": BandProfile("slow", gamma=0.5),
+    }
+    ltd = lambda T: rbm_ltd(T, regimes)
+    for poly in (a, b):
+        for m in range(1, 6):
+            got = traffic_moment(poly, m, ltd)
+            assert got == power_trace(poly, m, ltd)
+            assert isinstance(got, (int, Fraction))
+
+
+def test_cyclic_words_with_complex_beta():
+    ltd = lambda T: wigner_ltd(T, {"x": 0.5 + 0.5j, "y": 0.25j})
+    for poly in (_starred(), parse_poly("x + 1/2*row(y) - col(x)")):
+        for m in range(1, 6):
+            got = traffic_moment(poly, m, ltd)
+            assert abs(got - power_trace(poly, m, ltd)) < 1e-12
+
+
+@pytest.mark.parametrize("word", ["xyxy", "abab", "baaa"])
+def test_mixed_moment_matches_word_expansion(word):
+    elements = {
+        "x": edge_monomial("x"),
+        "y": edge_monomial("y"),
+        "a": markov_element(1, Fraction(1, 2)),
+        "b": parse_poly("y + 2*row(y) - unit"),
+    }
+    seq = [elements[c] for c in word]
+    want = sum(c * ltd_trace(g, wigner_ltd) for c, g in word_trace_terms(seq))
+    assert mixed_moment_ltd(seq) == want
+
+
+def test_periodic_words_count_their_true_class_size():
+    # (x + s*unit)^m holds periodic words such as (x, u, x, u); each class
+    # weighs m/period words, so the sum is the binomial mix of semicircle
+    # moments
+    for shift in (1, 2):
+        a = parse_poly(f"x + {shift}*unit")
+        for m in range(1, 9):
+            want = sum(
+                comb(m, k) * shift ** (m - k) * semicircle_moment(k)
+                for k in range(m + 1)
+            )
+            assert traffic_moment(a, m) == want
 
 
 # ---------------------------------------------------------------------------
