@@ -118,6 +118,8 @@ class _Resolver:
 def _parse_beta(text: str) -> Any:
     try:
         return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"beta {text!r} divides by zero") from None
     except ValueError:
         return complex(text.replace("i", "j"))
 
@@ -587,7 +589,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = _parse_config(getattr(args, "config", None))
         res = _Resolver(args, cfg)
         return _COMMANDS[args.command](res)
-    except Exception as exc:  # guard violations become machine-readable
+    except (ValueError, OSError) as exc:  # user errors; anything else is a bug
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )

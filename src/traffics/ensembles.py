@@ -218,16 +218,19 @@ class BandProfile:
             return BandProfile(head)
         if not arg:
             raise ValueError(f"regime {head!r} needs a parameter")
-        if head == "fixed":
-            return BandProfile("fixed", b=int(arg))
-        if head == "proportional":
-            return BandProfile("proportional", c=Fraction(arg))
-        if head == "slow":
-            return BandProfile("slow", gamma=float(Fraction(arg)))
-        if head == "periodic-slow":
-            return BandProfile("periodic", gamma=float(Fraction(arg)))
-        if head in ("periodic-prop", "periodic-proportional"):
-            return BandProfile("periodic", c=Fraction(arg))
+        try:
+            if head == "fixed":
+                return BandProfile("fixed", b=int(arg))
+            if head == "proportional":
+                return BandProfile("proportional", c=Fraction(arg))
+            if head == "slow":
+                return BandProfile("slow", gamma=float(Fraction(arg)))
+            if head == "periodic-slow":
+                return BandProfile("periodic", gamma=float(Fraction(arg)))
+            if head in ("periodic-prop", "periodic-proportional"):
+                return BandProfile("periodic", c=Fraction(arg))
+        except ZeroDivisionError:
+            raise ValueError(f"regime parameter {arg!r} divides by zero") from None
         raise ValueError(f"unknown regime {head!r}")
 
     def describe(self) -> str:

@@ -445,7 +445,7 @@ def _as_fraction(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(x)
-    raise TypeError(f"cannot take {type(x).__name__} as an exact proportion")
+    raise ValueError(f"cannot take {type(x).__name__} as an exact proportion")
 
 
 def _pad_proportions(

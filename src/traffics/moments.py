@@ -287,7 +287,12 @@ def parse_poly(text: str) -> TrafficPolynomial:
         if tok is None:
             raise ValueError("polynomial ends mid-term")
         if tok[0] == "num":
-            return Fraction(take("num")) * TrafficPolynomial.wrap(unit_monomial())
+            num = take("num")
+            try:
+                coef = Fraction(num)
+            except ZeroDivisionError:
+                raise ValueError(f"coefficient {num!r} divides by zero") from None
+            return coef * TrafficPolynomial.wrap(unit_monomial())
         name = take("name")
         if name in ("row", "col") and peek() == ("op", "("):
             take("op", "(")

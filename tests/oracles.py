@@ -7,7 +7,7 @@ with the package internals it checks.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -65,6 +65,24 @@ def naive_trace_sum(T: TestGraph, fn) -> complex:
     for pi in enumerate_partitions(T.n_vertices):
         total = total + fn(quotient(T, pi))
     return total
+
+
+def naive_graph_matrix(T: TestGraph, v_out: int, v_in: int, mats) -> np.ndarray:
+    """t(A)[..., i, j]: sum over every vertex map with v_out -> i, v_in -> j of
+    the edge-entry product, one map at a time."""
+    first = next(iter(mats.values()))
+    n, batch = first.shape[-1], first.shape[:-2]
+    out = np.zeros(batch + (n, n), dtype=complex)
+    for phi in product(range(n), repeat=T.n_vertices):
+        val = np.ones(batch, dtype=complex)
+        for e in T.edges:
+            a = mats[e.label]
+            if e.star:
+                val = val * np.conj(a[..., phi[e.src], phi[e.tar]])
+            else:
+                val = val * a[..., phi[e.tar], phi[e.src]]
+        out[..., phi[v_out], phi[v_in]] += val
+    return out
 
 
 def mc_cut_volume(T: TestGraph, proportions, points: int, seed: int = 0) -> float:

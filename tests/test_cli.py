@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from traffics import cli
 from traffics.cli import CSV_HEADER, main
 from traffics.limits import wigner_ltd
 from traffics.moments import parse_poly, traffic_moment
@@ -277,6 +278,31 @@ def test_errors_are_machine_readable(capsys):
     code, _, err = run(capsys, "estimate", "--graph", PAD)
     assert code == 2
     assert "missing --n" in json.loads(err)["message"]
+
+
+def test_program_bugs_are_not_user_errors(monkeypatch, capsys):
+    # only ValueError and OSError are user errors (exit 2); a TypeError is a
+    # bug and propagates, which the interpreter turns into exit 1
+    def broken(res):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(cli._COMMANDS, "ltd", broken)
+    with pytest.raises(TypeError):
+        main(["ltd", "--graph", PAD])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("ltd", "--graph", PAD, "--regime", "x=proportional:1/0"),
+    ("ltd", "--graph", PAD, "--entry", "x=gaussian:1/0"),
+    ("moments", "--poly", "1/0*x", "--order", "2"),
+    ("estimate", "--graph", PAD, "--n", "0", "--samples", "2"),
+    ("estimate", "--graph", PAD, "--n", "5", "--samples", "0"),
+])
+def test_bad_numbers_are_user_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
 
 
 def test_haar_rejects_entry_flags(capsys):

@@ -1,10 +1,14 @@
 """Exact evaluation engine: graph evaluation, traces, injective traces,
 Monte Carlo plumbing."""
 
+import warnings
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from traffics import engine
 from traffics.engine import (
     Estimate,
     central_moment_estimate,
@@ -31,17 +35,58 @@ from traffics.graphs import (
 )
 from traffics.partitions import enumerate_partitions
 
+from oracles import naive_graph_matrix
 from test_graphs import connected_graphs
 
 
-def random_matrices(labels, n, rng, complex_=False):
+def random_matrices(labels, n, rng, complex_=False, batch=()):
     out = {}
     for lab in labels:
-        a = rng.standard_normal((n, n))
+        a = rng.standard_normal(batch + (n, n))
         if complex_:
-            a = a + 1j * rng.standard_normal((n, n))
+            a = a + 1j * rng.standard_normal(batch + (n, n))
         out[lab] = a
     return out
+
+
+def _labels(g):
+    return sorted({e.label for e in g.edges}) or ["x"]
+
+
+@st.composite
+def loopy_graphs(draw, max_vertices=4, max_extra=2):
+    """Connected graphs with extra loops, each possibly starred."""
+    g = draw(connected_graphs(max_vertices=max_vertices, max_extra=max_extra))
+    loops = [
+        Edge(v, v, draw(st.sampled_from("xy")), draw(st.booleans()))
+        for v in draw(st.lists(st.integers(0, g.n_vertices - 1), max_size=3))
+    ]
+    return TestGraph(g.n_vertices, g.edges + tuple(loops))
+
+
+@st.composite
+def dense_five_vertex_graphs(draw):
+    """K5 minus at most two disjoint pairs, plus loops: every vertex has
+    degree >= 3, so the first elimination is a general step."""
+    pairs = list(combinations(range(5), 2))
+    dropped = draw(st.sampled_from([(), ((0, 1),), ((0, 1), (2, 3)), ((1, 4), (0, 2))]))
+    edges = []
+    for u, v in pairs:
+        if (u, v) in dropped:
+            continue
+        for _ in range(draw(st.integers(1, 2))):
+            a, b = (u, v) if draw(st.booleans()) else (v, u)
+            edges.append(Edge(a, b, draw(st.sampled_from("xy")), draw(st.booleans())))
+    for v in draw(st.lists(st.integers(0, 4), max_size=2)):
+        edges.append(Edge(v, v, draw(st.sampled_from("xy")), draw(st.booleans())))
+    return TestGraph(5, tuple(edges))
+
+
+def _quiet(fn, *args, **kwargs):
+    # the rank-overflow fallback warns; these tests compare its answers
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return fn(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +198,91 @@ def test_loop_edges_evaluate_on_the_diagonal(rng):
     g = TestGraph(1, (Edge(0, 0, "x"),))
     a = rng.standard_normal((5, 5))
     assert np.isclose(trace_test_graph(g, {"x": a}), np.trace(a))
+
+
+@settings(max_examples=40)
+@given(loopy_graphs(), st.integers(2, 4), st.integers(1, 4))
+def test_batched_complex_trace_matches_enumeration(g, n, max_rank):
+    rng = np.random.default_rng(31 * n + len(g.edges))
+    mats = random_matrices(_labels(g), n, rng, complex_=True, batch=(2, 3))
+    fast = _quiet(trace_test_graph, g, mats, max_rank=max_rank)
+    slow = trace_full_direct(g, mats)
+    assert fast.shape == (2, 3)
+    assert np.allclose(fast, slow, rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=25)
+@given(dense_five_vertex_graphs(), st.integers(2, 3), st.integers(1, 4))
+def test_general_steps_match_enumeration(g, n, max_rank):
+    rng = np.random.default_rng(7 * n + len(g.edges))
+    mats = random_matrices(_labels(g), n, rng, complex_=True, batch=(2,))
+    fast = _quiet(trace_test_graph, g, mats, max_rank=max_rank)
+    assert np.allclose(fast, trace_full_direct(g, mats), rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=40)
+@given(loopy_graphs(), st.integers(2, 3), st.integers(1, 4), st.data())
+def test_eval_graph_matrix_matches_enumeration(g, n, max_rank, data):
+    v_out = data.draw(st.integers(0, g.n_vertices - 1))
+    v_in = data.draw(st.sampled_from([v_out, data.draw(st.integers(0, g.n_vertices - 1))]))
+    rng = np.random.default_rng(13 * n + len(g.edges))
+    mats = random_matrices(_labels(g), n, rng, complex_=True, batch=(2,))
+    fast = _quiet(eval_graph_matrix, GraphMonomial(g, v_in, v_out), mats, max_rank=max_rank)
+    assert np.allclose(fast, naive_graph_matrix(g, v_out, v_in, mats), rtol=1e-9, atol=1e-12)
+
+
+def test_eval_graph_matrix_general_step_with_roots(rng):
+    g = TestGraph(5, tuple(Edge(u, v, "x", star=(u + v) % 3 == 0)
+                           for u, v in combinations(range(5), 2)))
+    mats = random_matrices("x", 3, rng, complex_=True, batch=(2,))
+    for v_in, v_out in ((0, 0), (0, 4)):
+        got = eval_graph_matrix(GraphMonomial(g, v_in, v_out), mats)
+        assert np.allclose(got, naive_graph_matrix(g, v_out, v_in, mats))
+
+
+@settings(max_examples=30)
+@given(loopy_graphs(max_vertices=4, max_extra=3), st.integers(4, 6))
+def test_shared_pendant_sums_equal_termwise_sum(g, n):
+    rng = np.random.default_rng(n + 5 * len(g.edges))
+    mats = random_matrices(_labels(g), n, rng, complex_=True, batch=(2,))
+    termwise = sum(w * trace_test_graph(q, mats) for w, q in engine._injective_terms(g))
+    assert np.allclose(trace_injective(g, mats), termwise, rtol=1e-12, atol=1e-12)
+
+
+def test_pendant_sums_are_shared_across_terms(rng):
+    # two-pad star: its Mobius terms repeat the same pads
+    g = TestGraph(3, (Edge(0, 1, "x"), Edge(1, 0, "x"), Edge(0, 2, "x"), Edge(2, 0, "x")))
+    mats = random_matrices("x", 6, rng, batch=(3,))
+    shared = engine._Bound(g.labels(), mats)
+    alone = 0
+    for _, q in engine._injective_terms(g):
+        trace_test_graph(q, shared)
+        own = engine._Bound(g.labels(), mats)
+        trace_test_graph(q, own)
+        alone += len(own.pendants)
+    assert 0 < len(shared.pendants) < alone
+
+
+def test_pendant_codes_keep_orientation_and_star(rng):
+    # the same label hangs off vertex 0 as x, x^T, x* and a loop-weighted x;
+    # only identical rooted subtrees may share a pendant sum
+    g = TestGraph(5, (Edge(1, 0, "x"), Edge(0, 2, "x"), Edge(3, 0, "x", True),
+                      Edge(4, 0, "x"), Edge(4, 4, "x")))
+    mats = random_matrices("x", 4, rng, complex_=True, batch=(2,))
+    assert np.allclose(trace_test_graph(g, mats), trace_full_direct(g, mats))
+
+
+def test_rank_overflow_fallback_warns(rng):
+    g = TestGraph(4, (Edge(0, 1, "x"), Edge(1, 2, "x"), Edge(2, 3, "x"),
+                      Edge(3, 0, "x"), Edge(0, 2, "y")))
+    mats = random_matrices("xy", 5, rng)
+    with pytest.warns(RuntimeWarning, match=r"rank-2 .*max_rank=1.*5\^4 = 625 maps"):
+        low = trace_test_graph(g, mats, max_rank=1)
+    assert np.isclose(low, trace_test_graph(g, mats))
+    t = GraphMonomial(g, 0, 2)
+    with pytest.warns(RuntimeWarning, match=r"rank-2 .*5\^4 = 625 maps"):
+        low = eval_graph_matrix(t, mats, max_rank=1)
+    assert np.allclose(low, eval_graph_matrix(t, mats))
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,8 @@ def test_cut_argument_validation():
         cut_integral(pad2(), Fraction(3, 2))
     with pytest.raises(ValueError):
         cut_integral(pad2(), {"y": Fraction(1, 2)})
+    with pytest.raises(ValueError, match="exact proportion"):
+        cut_integral(pad2(), 0.5j)
 
 
 # ---------------------------------------------------------------------------
