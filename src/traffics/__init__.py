@@ -90,6 +90,7 @@ from .limits import (
     forest_transform,
     haar_ltd,
     ltd_trace,
+    model_ltd,
     norm_factor,
     ordering_sum_ltd,
     rbm_ltd,

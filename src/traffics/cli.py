@@ -198,49 +198,59 @@ def _csv(rows: Sequence[tuple]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# model assembly shared by estimate/concentration/independence
+# model assembly shared by ltd/estimate/concentration and the evaluators of
+# independence/moments
 
-def _assemble(
-    labels: Sequence[str], res: _Resolver
-) -> tuple[dict[str, Any], str, dict[str, ensembles.BandProfile], dict[str, ensembles.EntrySpec]]:
-    """Build MatrixModel assignments plus (kind, profiles, entries) for theory."""
+def _label_pairs(
+    res: _Resolver, name: str, labels: Sequence[str], every: bool = False
+) -> dict[str, str]:
+    """--NAME label=value pairs; each label must be a graph label, and with
+    ``every`` each graph label needs a value."""
+    flags = res.pairs(name)
+    unknown = sorted(set(flags) - set(labels))
+    if unknown:
+        raise ValueError(f"--{name} names labels the graph does not have: {', '.join(unknown)}")
+    missing = sorted(set(labels) - set(flags)) if every else []
+    if missing:
+        raise ValueError(f"--{name} gives no value for labels: {', '.join(missing)}")
+    return flags
+
+
+def _regimes(flags: dict[str, str]) -> dict[str, ensembles.BandProfile]:
+    return {lab: ensembles.BandProfile.parse(spec) for lab, spec in flags.items()}
+
+
+def _assemble(labels: Sequence[str], res: _Resolver) -> ensembles.MatrixModel:
+    """The matrix model of --ensemble, --regime and --entry over ``labels``."""
     ensemble = res.str_("ensemble", "wigner")
-    regime_flags = res.pairs("regime")
-    entry_flags = res.pairs("entry")
     if ensemble == "haar":
-        if regime_flags or entry_flags:
+        if res.pairs("regime") or res.pairs("entry"):
             raise ValueError("haar ensembles take no regime or entry flags")
-        return {lab: "haar" for lab in labels}, "haar", {}, {}
+        return ensembles.MatrixModel({lab: "haar" for lab in labels})
     base = ensembles.BandProfile.parse(ensemble)
-    profiles = {
-        lab: ensembles.BandProfile.parse(regime_flags[lab])
-        if lab in regime_flags
-        else base
+    profiles = _regimes(_label_pairs(res, "regime", labels))
+    entry_flags = _label_pairs(res, "entry", labels)
+    return ensembles.MatrixModel({
+        lab: (
+            profiles.get(lab, base),
+            _parse_entry(entry_flags[lab]) if lab in entry_flags
+            else ensembles.EntrySpec.gaussian(),
+        )
         for lab in labels
-    }
-    entries = {
-        lab: _parse_entry(entry_flags[lab])
-        if lab in entry_flags
-        else ensembles.EntrySpec.gaussian()
-        for lab in labels
-    }
-    assignments = {lab: (profiles[lab], entries[lab]) for lab in labels}
-    kind = "rbm"
-    if profiles and all(p.regime == "fixed" for p in profiles.values()):
-        kind = "fixed"
-    return assignments, kind, profiles, entries
+    })
 
 
-def _theory_ltd(
-    kind: str, profiles: dict, entries: dict
+def _betas_ltd(
+    which: str, betas: dict[str, Any], regimes: dict[str, ensembles.BandProfile]
 ) -> Callable[[graphs.TestGraph], Any]:
-    if kind == "haar":
-        return limits.haar_ltd
-    if kind == "fixed":
-        bands = {lab: p.b for lab, p in profiles.items()}
-        return lambda T: limits.fixed_band_ltd(T, bands, entries).value
-    betas = {lab: e.beta for lab, e in entries.items()}
-    return lambda T: limits.rbm_ltd(T, profiles, betas)
+    """The wigner, ordering or rbm evaluator at the given betas and regimes."""
+    if which == "wigner":
+        return lambda T: limits.wigner_ltd(T, betas)
+    if which == "ordering":
+        return lambda T: limits.ordering_sum_ltd(T, betas)
+    if which == "rbm":
+        return lambda T: limits.rbm_ltd(T, regimes, betas)
+    raise ValueError(f"unknown ltd evaluator {which!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +258,11 @@ def _theory_ltd(
 
 def _cmd_ltd(res: _Resolver) -> int:
     T = _load_graph(res.str_("graph"))
-    bands = res.pairs("band")
     lines = []
-    if bands:
+    if res.pairs("band"):
+        bands = _label_pairs(res, "band", T.labels(), every=True)
         widths = {lab: int(b) for lab, b in bands.items()}
-        entry_flags = res.pairs("entry")
+        entry_flags = _label_pairs(res, "entry", T.labels())
         entries = {
             lab: _parse_entry(spec) for lab, spec in entry_flags.items()
         } or None
@@ -268,28 +278,20 @@ def _cmd_ltd(res: _Resolver) -> int:
                    "yes" if fr.monotone else "no", _fmt(fr.upper_bound))
             )
         lines.append(f"ltd = {_fmt_value(result.value)}")
-    elif res.str_("ensemble", "wigner") == "haar":
-        if res.pairs("regime") or res.pairs("entry"):
-            raise ValueError("haar ensembles take no regime or entry flags")
-        rep = limits.classify_orthogonal_cactus(T)
-        if rep.is_cactus and rep.is_anti_directed:
-            pads = ",".join(map(str, rep.pad_sizes))
-            lines.append(f"orthogonal cactus: yes (pads {pads})")
-        else:
-            lines.append(f"orthogonal cactus: no ({rep.reason})")
-        if res.flag("trace"):
-            value = limits.ltd_trace(T, limits.haar_ltd, support="all")
-        else:
-            value = limits.haar_ltd(T)
-        lines.append(f"ltd = {_fmt_value(value)}")
     else:
-        _, kind, profiles, entries = _assemble(T.labels(), res)
-        rep = limits.classify_double_tree(T)
-        lines.append(_classification_line(rep))
-        if res.flag("trace"):
-            value = limits.ltd_trace(T, _theory_ltd(kind, profiles, entries))
+        ltd = limits.model_ltd(_assemble(T.labels(), res))
+        if ltd is limits.haar_ltd:
+            rep = limits.classify_orthogonal_cactus(T)
+            if rep.is_cactus and rep.is_anti_directed:
+                pads = ",".join(map(str, rep.pad_sizes))
+                lines.append(f"orthogonal cactus: yes (pads {pads})")
+            else:
+                lines.append(f"orthogonal cactus: no ({rep.reason})")
+            support = "all"
         else:
-            value = _theory_ltd(kind, profiles, entries)(T)
+            lines.append(_classification_line(limits.classify_double_tree(T)))
+            support = "double_tree"
+        value = limits.ltd_trace(T, ltd, support=support) if res.flag("trace") else ltd(T)
         lines.append(f"ltd = {_fmt_value(value)}")
     _write_out("\n".join(lines) + "\n", res.str_("out"))
     return 0
@@ -306,15 +308,14 @@ def _classification_line(rep: limits.DoubleTreeReport) -> str:
 
 def _cmd_estimate(res: _Resolver) -> int:
     T = _load_graph(res.str_("graph"))
-    assignments, kind, profiles, entries = _assemble(T.labels(), res)
-    model = ensembles.MatrixModel(assignments)
+    model = _assemble(T.labels(), res)
     ns = res.ints("n")
     samples = res.int_("samples", 100)
     seed = res.int_("seed", 0)
     threads = res.int_("threads", None, env=THREADS_ENV)
     injective = res.flag("injective")
-    ltd = _theory_ltd(kind, profiles, entries)
-    support = "all" if kind == "haar" else "double_tree"
+    ltd = limits.model_ltd(model)
+    support = "all" if ltd is limits.haar_ltd else "double_tree"
     theory = ltd(T) if injective else limits.ltd_trace(T, ltd, support=support)
     rows = []
     for n in ns:
@@ -328,8 +329,7 @@ def _cmd_estimate(res: _Resolver) -> int:
 
 def _cmd_concentration(res: _Resolver) -> int:
     T = _load_graph(res.str_("graph"))
-    assignments, _, _, _ = _assemble(T.labels(), res)
-    model = ensembles.MatrixModel(assignments)
+    model = _assemble(T.labels(), res)
     ns = res.ints("n", "50,100,200,400")
     samples = res.int_("samples", 500)
     order = res.int_("order", 2)
@@ -342,7 +342,7 @@ def _cmd_concentration(res: _Resolver) -> int:
         est = engine.central_moment_estimate(
             T, model, n, samples, order, seed, injective=injective, threads=threads
         )
-        means.append(float(est.mean.real if isinstance(est.mean, complex) else est.mean))
+        means.append(est.mean.real)
         rows.append((n, samples, est.mean, est.stderr, 0.0, est.z(0.0)))
     loops = sum(1 for e in T.edges if e.src == e.tar)
     bound = -(order // 2) * (loops + 1)
@@ -381,21 +381,8 @@ def _cmd_independence(res: _Resolver) -> int:
     max_pads = res.int_("max_pads", 3)
     corpus = independence.build_double_tree_corpus(max_pads, labels)
     fams = res.pairs("families") or None
-    beta_flags = res.pairs("beta")
-    betas = {lab: _parse_beta(v) for lab, v in beta_flags.items()}
-    which = res.str_("ltd", "wigner")
-    if which == "wigner":
-        ltd = lambda T: limits.wigner_ltd(T, betas)
-    elif which == "ordering":
-        ltd = lambda T: limits.ordering_sum_ltd(T, betas)
-    elif which == "rbm":
-        regimes = {
-            lab: ensembles.BandProfile.parse(spec)
-            for lab, spec in res.pairs("regime").items()
-        }
-        ltd = lambda T: limits.rbm_ltd(T, regimes, betas)
-    else:
-        raise ValueError(f"unknown ltd evaluator {which!r}")
+    betas = {lab: _parse_beta(v) for lab, v in res.pairs("beta").items()}
+    ltd = _betas_ltd(res.str_("ltd", "wigner"), betas, _regimes(res.pairs("regime")))
     report = independence.verify_traffic_independence(ltd, fams, corpus)
     _write_out(report.to_json() + "\n", res.str_("out"))
     return 0
@@ -407,17 +394,11 @@ def _cmd_moments(res: _Resolver) -> int:
         raise ValueError("missing --poly")
     poly = moments.parse_poly(poly_text)
     order = res.int_("order", 4)
-    beta_flags = res.pairs("beta")
-    betas = {lab: _parse_beta(v) for lab, v in beta_flags.items()}
-    regime_flags = res.pairs("regime")
-    if regime_flags:
-        regimes = {
-            lab: ensembles.BandProfile.parse(spec)
-            for lab, spec in regime_flags.items()
-        }
-        ltd = lambda T: limits.rbm_ltd(T, regimes, betas)
-    else:
-        ltd = lambda T: limits.wigner_ltd(T, betas)
+    if order < 1:
+        raise ValueError(f"moment order must be >= 1, got {order}")
+    betas = {lab: _parse_beta(v) for lab, v in res.pairs("beta").items()}
+    regimes = _regimes(res.pairs("regime"))
+    ltd = _betas_ltd("rbm" if regimes else "wigner", betas, regimes)
     lines = ["order value"]
     for k in range(1, order + 1):
         value = moments.traffic_moment(poly, k, ltd)

@@ -39,7 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -485,6 +485,41 @@ def _chunk_size(n: int) -> int:
 
 
 def _sample_values(
+    model: Any,
+    labels: Sequence[str],
+    n: int,
+    samples: int,
+    seed: int,
+    threads: Optional[int],
+    values: Callable[[dict[str, np.ndarray]], np.ndarray],
+) -> np.ndarray:
+    """The Monte Carlo loop: draw sample i from ``stream(seed, i)``, stack the
+    draws of each chunk by label and map every chunk through ``values``."""
+    from .ensembles import stream
+
+    def run_chunk(start: int, stop: int) -> np.ndarray:
+        # each draw is copied into its slot and dropped, so the chunk holds
+        # its draws once
+        stacked: dict[str, np.ndarray] = {}
+        for k, i in enumerate(range(start, stop)):
+            draw = model.sample(n, stream(seed, i))
+            for lab in labels:
+                if k == 0:
+                    stacked[lab] = np.empty((stop - start,) + draw[lab].shape, draw[lab].dtype)
+                stacked[lab][k] = draw[lab]
+        return values(stacked)
+
+    size = _chunk_size(n)
+    bounds = [(s, min(s + size, samples)) for s in range(0, samples, size)]
+    if threads and threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            parts = list(ex.map(lambda se: run_chunk(*se), bounds))
+    else:
+        parts = [run_chunk(*se) for se in bounds]
+    return np.concatenate(parts)
+
+
+def _trace_values(
     T: TestGraph,
     model: Any,
     n: int,
@@ -494,8 +529,6 @@ def _sample_values(
     threads: Optional[int],
     max_rank: int,
 ) -> np.ndarray:
-    from .ensembles import stream
-
     if n < 1 or samples < 1:
         raise ValueError(f"need n >= 1 and samples >= 1, got n={n}, samples={samples}")
     terms = _injective_terms(T) if injective else ((1, T),)
@@ -509,16 +542,8 @@ def _sample_values(
         for j in range(T.n_vertices):
             scale *= n / (n - j)
 
-    def run_chunk(start: int, stop: int) -> np.ndarray:
-        # each draw is copied into its slot and dropped, so the chunk holds
-        # its draws once; the terms share pendant sums through one context
-        stacked: dict[str, np.ndarray] = {}
-        for k, i in enumerate(range(start, stop)):
-            draw = model.sample(n, stream(seed, i))
-            for lab in labels:
-                if k == 0:
-                    stacked[lab] = np.empty((stop - start,) + draw[lab].shape, draw[lab].dtype)
-                stacked[lab][k] = draw[lab]
+    def traces(stacked: dict[str, np.ndarray]) -> np.ndarray:
+        # the terms share pendant sums through one context per chunk
         ctx = _Bound(labels, stacked)
         out = None
         for w, q in terms:
@@ -526,14 +551,7 @@ def _sample_values(
             out = w * val if out is None else out + w * val
         return np.asarray(out) * (scale / n)
 
-    size = _chunk_size(n)
-    bounds = [(s, min(s + size, samples)) for s in range(0, samples, size)]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda se: run_chunk(*se), bounds))
-    else:
-        parts = [run_chunk(*se) for se in bounds]
-    return np.concatenate(parts)
+    return _sample_values(model, labels, n, samples, seed, threads, traces)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[complex, float]:
@@ -560,9 +578,9 @@ def estimate_traffic_state(
 
     ``model`` provides ``sample(n, rng) -> {label: matrix}``; each sample
     index draws from its own stream of ``seed``.  Injective estimates carry
-    the n^|V| / (n)_|V| count correction (see ``_sample_values``).
+    the n^|V| / (n)_|V| count correction (see ``_trace_values``).
     """
-    values = _sample_values(T, model, n, samples, seed, injective, threads, max_rank)
+    values = _trace_values(T, model, n, samples, seed, injective, threads, max_rank)
     mean, stderr = _mean_stderr(values)
     return Estimate(mean, stderr, samples, n)
 
@@ -582,8 +600,8 @@ def central_moment_estimate(
     """Two-pass estimate of E |(1/n) tr T - E (1/n) tr T|^order."""
     if order < 2 or order % 2:
         raise ValueError("central moment order must be even and >= 2")
-    values = _sample_values(T, model, n, samples, seed, injective, threads, max_rank)
+    values = _trace_values(T, model, n, samples, seed, injective, threads, max_rank)
     mean = complex(np.mean(values))
     dev = np.abs(values - mean) ** order
     m, se = _mean_stderr(dev)
-    return Estimate(m.real, se, samples, n)
+    return Estimate(m, se, samples, n)

@@ -162,14 +162,15 @@ class EntrySpec:
 # ---------------------------------------------------------------------------
 # band profiles
 
-_REGIMES = ("wigner", "periodic", "slow", "proportional", "full", "fixed")
+_REGIMES = ("wigner", "periodic", "slow", "proportional", "fixed")
 
 
 @dataclass(frozen=True)
 class BandProfile:
     """Band-width scaling regime plus its parameters.
 
-    * ``wigner`` / ``full``: no band, normalization n^(-1/2)
+    * ``wigner``: no band, normalization n^(-1/2); ``parse`` also reads it
+      as ``full``
     * ``slow``: b(n) = floor(n^gamma) -> infinity, o(n); normalization (2b)^(-1/2)
     * ``proportional``: b(n) = floor(c n), 0 < c <= 1; normalization ((2c-c^2) n)^(-1/2)
     * ``fixed``: constant b; normalization (2b+1)^(-1/2)
@@ -186,9 +187,9 @@ class BandProfile:
         r = self.regime
         if r not in _REGIMES:
             raise ValueError(f"unknown regime {r!r}")
-        if r in ("wigner", "full"):
+        if r == "wigner":
             if (self.c, self.b, self.gamma) != (None, None, None):
-                raise ValueError(f"{r} takes no parameters")
+                raise ValueError("wigner takes no parameters")
         elif r == "slow":
             if self.gamma is None or not 0 < self.gamma < 1:
                 raise ValueError("slow regime needs 0 < gamma < 1")
@@ -215,7 +216,7 @@ class BandProfile:
         if head in ("wigner", "full"):
             if arg:
                 raise ValueError(f"{head} takes no parameter")
-            return BandProfile(head)
+            return BandProfile("wigner")
         if not arg:
             raise ValueError(f"regime {head!r} needs a parameter")
         try:
@@ -234,8 +235,8 @@ class BandProfile:
         raise ValueError(f"unknown regime {head!r}")
 
     def describe(self) -> str:
-        if self.regime in ("wigner", "full"):
-            return self.regime
+        if self.regime == "wigner":
+            return "wigner"
         if self.regime == "fixed":
             return f"fixed:{self.b}"
         if self.regime == "proportional":
@@ -251,7 +252,7 @@ class BandProfile:
         return self.regime == "periodic"
 
     def width(self, n: int) -> int:
-        if self.regime in ("wigner", "full"):
+        if self.regime == "wigner":
             return n
         if self.regime == "fixed":
             return self.b
@@ -260,7 +261,7 @@ class BandProfile:
         return max(1, int(self.c * n))
 
     def normalization(self, n: int) -> float:
-        if self.regime in ("wigner", "full"):
+        if self.regime == "wigner":
             return n**-0.5
         if self.regime == "fixed":
             return (2 * self.b + 1) ** -0.5
@@ -272,7 +273,7 @@ class BandProfile:
 
 def band_mask(n: int, profile: BandProfile) -> np.ndarray:
     """0/1 mask selecting the band (diagonal always included)."""
-    if profile.regime in ("wigner", "full"):
+    if profile.regime == "wigner":
         return np.ones((n, n))
     idx = np.arange(n)
     d = np.abs(idx[:, None] - idx[None, :])

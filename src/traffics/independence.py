@@ -26,6 +26,7 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 from .graphs import (
     Edge,
     TestGraph,
+    _UnionFind,
     canonical_form,
     canonical_key,
     serialize,
@@ -61,21 +62,12 @@ def colored_components(T: TestGraph, families: Any = None) -> tuple[ColoredCompo
     out = []
     for fam in sorted(fam_edges):
         ids = fam_edges[fam]
-        parent: dict[int, int] = {}
-
-        def find(v: int) -> int:
-            parent.setdefault(v, v)
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
+        uf = _UnionFind(T.n_vertices)
         for i in ids:
-            e = T.edges[i]
-            parent[find(e.src)] = find(e.tar)
+            uf.union(T.edges[i].src, T.edges[i].tar)
         groups: dict[int, list[int]] = {}
         for i in ids:
-            groups.setdefault(find(T.edges[i].src), []).append(i)
+            groups.setdefault(uf.find(T.edges[i].src), []).append(i)
         for root in sorted(groups, key=lambda r: min(groups[r])):
             members = groups[root]
             vs = sorted({v for i in members for v in (T.edges[i].src, T.edges[i].tar)})
@@ -127,22 +119,12 @@ def chi_graph(T: TestGraph, families: Any = None) -> ChiGraph:
         return ChiGraph(comps, shared, edges, True)
     # connectivity + acyclicity by union-find; first redundant edge seeds a cycle
     index = {node: i for i, node in enumerate(nodes)}
-    parent = list(range(len(nodes)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(len(nodes))
     extra: Optional[tuple[int, int]] = None
     for ci, v in edges:
-        a, b = find(index[("component", ci)]), find(index[("vertex", v)])
-        if a == b and extra is None:
+        if not uf.union(index[("component", ci)], index[("vertex", v)]) and extra is None:
             extra = (ci, v)
-        else:
-            parent[a] = b
-    connected = len({find(i) for i in range(len(nodes))}) == 1
+    connected = len({uf.find(i) for i in range(len(nodes))}) == 1
     is_tree = connected and n_edges == len(nodes) - 1
     cycle = None
     if extra is not None:
@@ -494,9 +476,9 @@ def freeness_moment_test(
     entry specs).  Marginals and the exact traffic value come from the
     quotient expansion; the Monte Carlo estimate samples the model.
     """
-    from .engine import Estimate, _chunk_size, _mean_stderr
-    from .ensembles import MatrixModel, stream
-    from .limits import rbm_ltd
+    from .engine import Estimate, _mean_stderr, _sample_values
+    from .ensembles import MatrixModel
+    from .limits import model_ltd
     from .moments import eval_polynomial_matrix, mixed_moment_ltd, traffic_moment
 
     import numpy as np
@@ -504,8 +486,10 @@ def freeness_moment_test(
     word = tuple(word)
     mm = MatrixModel(model)
     profiles = mm.profiles()
-    betas = {lab: spec.beta for lab, spec in mm.entries().items()}
-    ltd = lambda q: rbm_ltd(q, profiles, betas)
+    if any(lab not in profiles or profiles[lab].regime == "fixed" for lab in mm.labels):
+        raise ValueError("moment sums scan double-tree quotients only, so every label "
+                         "needs a band regime other than fixed")
+    ltd = model_ltd(mm)
 
     counts: dict[str, int] = {}
     for w in word:
@@ -519,20 +503,14 @@ def freeness_moment_test(
     prediction = free_mixed_moment(word, marginals)
     exact = mixed_moment_ltd([elements[w] for w in word], ltd)
 
-    size = _chunk_size(n)
-    values = []
-    for start in range(0, samples, size):
-        stop = min(start + size, samples)
-        per = [mm.sample(n, stream(seed, i)) for i in range(start, stop)]
-        stacked = {
-            lab: np.stack([p[lab] for p in per]) for lab in mm.labels
-        }
+    def word_values(stacked: dict) -> Any:
         mats = {w: eval_polynomial_matrix(elements[w], stacked) for w in counts}
         prod = mats[word[0]]
         for w in word[1:]:
             prod = prod @ mats[w]
-        values.append(np.trace(prod, axis1=-2, axis2=-1) / n)
-    vals = np.concatenate(values)
+        return np.trace(prod, axis1=-2, axis2=-1) / n
+
+    vals = _sample_values(mm, mm.labels, n, samples, seed, None, word_values)
     mean, stderr = _mean_stderr(vals)
     est = Estimate(mean, stderr, samples, n)
     return FreenessTest(

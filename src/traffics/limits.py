@@ -28,8 +28,8 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 
-from .ensembles import BandProfile, EntrySpec
-from .graphs import Edge, TestGraph, edge_classes
+from .ensembles import BandProfile, EntrySpec, MatrixModel, _double_factorial_odd
+from .graphs import Edge, TestGraph, _UnionFind, edge_classes
 
 Number = Union[int, float, Fraction, complex]
 
@@ -178,20 +178,12 @@ def ordering_sum_ltd(
     if not complex_pads:
         return base
     # components of the complex-labelled subgraph
-    verts = sorted({v for p in complex_pads for v in (p.u, p.v)})
-    comp = {v: v for v in verts}
-
-    def find(v):
-        while comp[v] != v:
-            comp[v] = comp[comp[v]]
-            v = comp[v]
-        return v
-
+    uf = _UnionFind(T.n_vertices)
     for p in complex_pads:
-        comp[find(p.u)] = find(p.v)
+        uf.union(p.u, p.v)
     groups: dict[int, list] = {}
     for p in complex_pads:
-        groups.setdefault(find(p.u), []).append(p)
+        groups.setdefault(uf.find(p.u), []).append(p)
     total: Number = base
     for pads in groups.values():
         cverts = sorted({v for p in pads for v in (p.u, p.v)})
@@ -221,7 +213,7 @@ def regime_role(profile: BandProfile) -> str:
     r = profile.regime
     if r == "slow" or (r == "periodic" and profile.gamma is not None):
         return "contract"
-    if r in ("full", "wigner") or (r == "periodic" and profile.c is not None):
+    if r == "wigner" or (r == "periodic" and profile.c is not None):
         return "delete"
     if r == "proportional":
         return "keep"
@@ -245,21 +237,14 @@ def forest_transform(T: TestGraph, regimes: RegimeAssignment) -> tuple[TestGraph
             raise ValueError(f"no regime assigned to label {lab!r}")
         roles[lab] = regime_role(regimes[lab])
     n = g.n_vertices
-    parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    uf = _UnionFind(n)
     for pad in rep.pads:
         if roles[pad.label] == "contract":
-            parent[find(pad.u)] = find(pad.v)
+            uf.union(pad.u, pad.v)
     reps: dict[int, int] = {}
     vmap = []
     for v in range(n):
-        r = find(v)
+        r = uf.find(v)
         if r not in reps:
             reps[r] = len(reps)
         vmap.append(reps[r])
@@ -270,19 +255,12 @@ def forest_transform(T: TestGraph, regimes: RegimeAssignment) -> tuple[TestGraph
         for i in pad.members
     ]
     m = len(reps)
-    cparent = list(range(m))
-
-    def cfind(v):
-        while cparent[v] != v:
-            cparent[v] = cparent[cparent[v]]
-            v = cparent[v]
-        return v
-
+    cuf = _UnionFind(m)
     for e in kept:
-        cparent[cfind(e.src)] = cfind(e.tar)
+        cuf.union(e.src, e.tar)
     comp_vertices: dict[int, list[int]] = {}
     for v in range(m):
-        comp_vertices.setdefault(cfind(v), []).append(v)
+        comp_vertices.setdefault(cuf.find(v), []).append(v)
     out = []
     for root in sorted(comp_vertices, key=lambda r: min(comp_vertices[r])):
         vs = comp_vertices[root]
@@ -290,7 +268,7 @@ def forest_transform(T: TestGraph, regimes: RegimeAssignment) -> tuple[TestGraph
         edges = tuple(
             Edge(local[e.src], local[e.tar], e.label)
             for e in kept
-            if cfind(e.src) == root
+            if cuf.find(e.src) == root
         )
         out.append(TestGraph(len(vs), edges))
     return tuple(out)
@@ -592,13 +570,10 @@ def closed_form_reference(name: str, *params) -> Fraction:
         if ell == 0:
             return Fraction(1)
         t = min(2 * c, Fraction(1))
-        dfact = 1
-        for j in range(1, 2 * ell, 2):
-            dfact *= j
         num = Fraction(2, ell + 1) * (t ** (ell + 1) - c ** (ell + 1)) + abs(
             2 * c - 1
         ) * t**ell
-        return dfact * num / (2 * c - c * c) ** ell
+        return _double_factorial_odd(2 * ell) * num / (2 * c - c * c) ** ell
     raise ValueError(f"unknown closed form {name!r}")
 
 
@@ -1092,3 +1067,25 @@ def ltd_trace(
         form, count = shapes[key]
         total = total + count * ltd_fn(form)
     return total
+
+
+# ---------------------------------------------------------------------------
+# matrix models
+
+def model_ltd(model: MatrixModel) -> Callable[[TestGraph], Number]:
+    """The injective-limit evaluator of a matrix model.
+
+    An all-Haar model gives :func:`haar_ltd`; an all-fixed-band model gives
+    the value of :func:`fixed_band_ltd` (the certified lower bound on the
+    Fekete density); any other model gives :func:`rbm_ltd` with the
+    pseudo-variances of its entry laws.
+    """
+    profiles, entries = model.profiles(), model.entries()
+    kinds = {profiles[lab].regime if lab in profiles else "haar" for lab in model.labels}
+    if kinds == {"haar"}:
+        return haar_ltd
+    if kinds == {"fixed"}:
+        bands = {lab: p.b for lab, p in profiles.items()}
+        return lambda T: fixed_band_ltd(T, bands, entries).value
+    betas = {lab: e.beta for lab, e in entries.items()}
+    return lambda T: rbm_ltd(T, profiles, betas)

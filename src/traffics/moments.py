@@ -27,6 +27,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from .ensembles import _double_factorial_odd
 from .graphs import (
     Edge,
     GraphMonomial,
@@ -231,12 +232,7 @@ def semicircle_moment(m: int) -> int:
 
 def gaussian_moment(m: int) -> int:
     """Moments of the standard Gaussian: double factorials at even orders."""
-    if m % 2:
-        return 0
-    out = 1
-    for j in range(1, m, 2):
-        out *= j
-    return out
+    return 0 if m % 2 else _double_factorial_odd(m)
 
 
 # ---------------------------------------------------------------------------

@@ -90,18 +90,20 @@ def test_estimate_csv_schema(capsys):
 
 
 def test_estimate_is_deterministic_across_threads(tmp_path, capsys, monkeypatch):
-    args = ["estimate", "--graph", PAD, "--n", "30", "--samples", "40", "--seed", "7"]
-    outs = []
-    for threads in ("1", "2", "5"):
-        path = tmp_path / f"t{threads}.csv"
-        code = main(args + ["--threads", threads, "--out", str(path)])
-        assert code == 0
-        outs.append(path.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
-    monkeypatch.setenv("TRAFFICS_THREADS", "3")
-    path = tmp_path / "env.csv"
-    assert main(args + ["--out", str(path)]) == 0
-    assert path.read_bytes() == outs[0]
+    for samples in ("40", "130"):  # one chunk of 64 draws, or three
+        args = ["estimate", "--graph", PAD, "--n", "30", "--samples", samples, "--seed", "7"]
+        outs = []
+        for threads in ("1", "2", "5"):
+            path = tmp_path / f"t{threads}.csv"
+            code = main(args + ["--threads", threads, "--out", str(path)])
+            assert code == 0
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+        monkeypatch.setenv("TRAFFICS_THREADS", "3")
+        path = tmp_path / "env.csv"
+        assert main(args + ["--out", str(path)]) == 0
+        assert path.read_bytes() == outs[0]
+        monkeypatch.delenv("TRAFFICS_THREADS")
 
 
 def test_estimate_seed_changes_values(capsys):
@@ -298,6 +300,12 @@ def test_program_bugs_are_not_user_errors(monkeypatch, capsys):
     ("moments", "--poly", "1/0*x", "--order", "2"),
     ("estimate", "--graph", PAD, "--n", "0", "--samples", "2"),
     ("estimate", "--graph", PAD, "--n", "5", "--samples", "0"),
+    ("moments", "--poly", "x", "--order", "-1"),
+    ("moments", "--poly", "x", "--order", "0"),
+    ("ltd", "--graph", PAD, "--regime", "y=wigner"),
+    ("estimate", "--graph", PAD, "--n", "5", "--samples", "2", "--entry", "y=rademacher"),
+    ("ltd", "--graph", PAD, "--band", "y=2"),
+    ("ltd", "--graph", "e 0 1 x; e 1 0 x; e 1 2 y; e 2 1 y", "--band", "x=2"),
 ])
 def test_bad_numbers_are_user_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

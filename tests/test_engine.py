@@ -294,11 +294,13 @@ def _wigner_model():
 
 def test_estimates_are_thread_count_invariant():
     T = TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "x")))
-    runs = [
-        estimate_traffic_state(T, _wigner_model(), 40, 30, seed=5, injective=True, threads=k)
-        for k in (None, 1, 2, 4)
-    ]
-    assert len({(r.mean, r.stderr) for r in runs}) == 1
+    for samples in (30, 130):  # one chunk of 64 draws, or three
+        runs = [
+            estimate_traffic_state(T, _wigner_model(), 40, samples, seed=5, injective=True,
+                                   threads=k)
+            for k in (None, 1, 2, 4)
+        ]
+        assert len({(r.mean, r.stderr) for r in runs}) == 1
 
 
 def test_estimates_depend_on_seed():
@@ -332,6 +334,12 @@ def test_central_moment_validates_order():
     T = TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "x")))
     with pytest.raises(ValueError):
         central_moment_estimate(T, _wigner_model(), 10, 10, order=3, seed=0)
+
+
+def test_central_moment_mean_is_complex():
+    T = TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "x")))
+    est = central_moment_estimate(T, _wigner_model(), 20, 30, order=2, seed=4)
+    assert isinstance(est.mean, complex) and est.mean.imag == 0 and est.mean.real > 0
 
 
 def test_variance_estimate_shrinks_with_n():

@@ -68,6 +68,15 @@ def test_parse_describe_round_trip():
         assert BandProfile.parse(p.describe()) == p
 
 
+def test_full_is_a_spelling_of_wigner():
+    assert BandProfile.parse("full") == BandProfile.parse("wigner") == BandProfile("wigner")
+    assert BandProfile.parse("full").describe() == "wigner"
+    with pytest.raises(ValueError):
+        BandProfile("full")
+    with pytest.raises(ValueError, match="full takes no parameter"):
+        BandProfile.parse("full:1")
+
+
 def test_parse_rejects_junk():
     for text in ("wigner:1", "proportional", "proportional:0", "proportional:2",
                  "slow:1", "fixed:-1", "nonsense:3", "periodic-prop:0.75"):

@@ -245,3 +245,11 @@ def test_wigner_letters_look_free(word, expected):
     assert out.free_matches_traffic
     assert out.z_free < 4
     assert out.z_traffic < 4
+
+
+@pytest.mark.parametrize("model", [{"x": "haar"}, {"x": BandProfile.parse("fixed:2")}])
+def test_freeness_needs_band_regimes(model):
+    # the moment sums scan double-tree quotients, which miss Haar and
+    # fixed-band limits
+    with pytest.raises(ValueError, match="band regime other than fixed"):
+        freeness_moment_test("xx", {"x": edge_monomial("x")}, model, n=10, samples=2)

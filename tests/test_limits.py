@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from traffics.ensembles import BandProfile, EntrySpec
+from traffics.ensembles import BandProfile, EntrySpec, MatrixModel
 from traffics.graphs import Edge, TestGraph, canonical_key, directed_cycle, quotient
 from traffics.limits import (
     PiecewisePoly,
@@ -27,6 +27,7 @@ from traffics.limits import (
     forest_transform,
     haar_ltd,
     ltd_trace,
+    model_ltd,
     norm_factor,
     ordering_sum_ltd,
     rbm_ltd,
@@ -603,3 +604,21 @@ def test_ltd_trace_full_lattice_matches_naive_sum():
 def test_ltd_trace_rejects_unknown_support():
     with pytest.raises(ValueError):
         ltd_trace(pad2(), wigner_ltd, support="everything")
+
+
+def test_model_ltd_resolves_each_kind():
+    star = TestGraph(3, (Edge(0, 1, "x"), Edge(1, 0, "x"), Edge(0, 2, "x"), Edge(2, 0, "x")))
+    congruent = TestGraph(2, (Edge(0, 1, "x"), Edge(0, 1, "x")))
+    assert model_ltd(MatrixModel({"x": "haar"})) is haar_ltd
+    fixed = model_ltd(MatrixModel({"x": (BandProfile.parse("fixed:1"), EntrySpec.rademacher())}))
+    assert fixed(star) == fixed_band_ltd(star, {"x": 1}, {"x": EntrySpec.rademacher()}).value
+    half = Fraction(1, 2)
+    prop = {"x": BandProfile("proportional", c=half)}
+    assert model_ltd(MatrixModel(prop))(star) == rbm_ltd(star, prop) == Fraction(28, 27)
+    rbm = model_ltd(MatrixModel({"x": (BandProfile.parse("wigner"), EntrySpec.gaussian(half))}))
+    assert rbm(congruent) == half
+    # a fixed label beside a band label is not an all-fixed model
+    mixed = MatrixModel({"x": BandProfile.parse("fixed:1"), "y": BandProfile.parse("wigner")})
+    with pytest.raises(ValueError, match="fixed-band oracle"):
+        model_ltd(mixed)(star)
+    assert model_ltd(MatrixModel({}))(TestGraph(1)) == 1
