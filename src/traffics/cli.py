@@ -220,6 +220,10 @@ def _regimes(flags: dict[str, str]) -> dict[str, ensembles.BandProfile]:
     return {lab: ensembles.BandProfile.parse(spec) for lab, spec in flags.items()}
 
 
+def _betas(res: _Resolver, labels: Sequence[str]) -> dict[str, Any]:
+    return {lab: _parse_beta(v) for lab, v in _label_pairs(res, "beta", labels).items()}
+
+
 def _assemble(labels: Sequence[str], res: _Resolver) -> ensembles.MatrixModel:
     """The matrix model of --ensemble, --regime and --entry over ``labels``."""
     ensemble = res.str_("ensemble", "wigner")
@@ -279,7 +283,8 @@ def _cmd_ltd(res: _Resolver) -> int:
             )
         lines.append(f"ltd = {_fmt_value(result.value)}")
     else:
-        ltd = limits.model_ltd(_assemble(T.labels(), res))
+        model = _assemble(T.labels(), res)
+        ltd = limits.model_ltd(model)
         if ltd is limits.haar_ltd:
             rep = limits.classify_orthogonal_cactus(T)
             if rep.is_cactus and rep.is_anti_directed:
@@ -287,10 +292,9 @@ def _cmd_ltd(res: _Resolver) -> int:
                 lines.append(f"orthogonal cactus: yes (pads {pads})")
             else:
                 lines.append(f"orthogonal cactus: no ({rep.reason})")
-            support = "all"
         else:
             lines.append(_classification_line(limits.classify_double_tree(T)))
-            support = "double_tree"
+        support = limits.model_support(model)
         value = limits.ltd_trace(T, ltd, support=support) if res.flag("trace") else ltd(T)
         lines.append(f"ltd = {_fmt_value(value)}")
     _write_out("\n".join(lines) + "\n", res.str_("out"))
@@ -315,7 +319,7 @@ def _cmd_estimate(res: _Resolver) -> int:
     threads = res.int_("threads", None, env=THREADS_ENV)
     injective = res.flag("injective")
     ltd = limits.model_ltd(model)
-    support = "all" if ltd is limits.haar_ltd else "double_tree"
+    support = limits.model_support(model)
     theory = ltd(T) if injective else limits.ltd_trace(T, ltd, support=support)
     rows = []
     for n in ns:
@@ -381,8 +385,8 @@ def _cmd_independence(res: _Resolver) -> int:
     max_pads = res.int_("max_pads", 3)
     corpus = independence.build_double_tree_corpus(max_pads, labels)
     fams = res.pairs("families") or None
-    betas = {lab: _parse_beta(v) for lab, v in res.pairs("beta").items()}
-    ltd = _betas_ltd(res.str_("ltd", "wigner"), betas, _regimes(res.pairs("regime")))
+    regimes = _regimes(_label_pairs(res, "regime", labels))
+    ltd = _betas_ltd(res.str_("ltd", "wigner"), _betas(res, labels), regimes)
     report = independence.verify_traffic_independence(ltd, fams, corpus)
     _write_out(report.to_json() + "\n", res.str_("out"))
     return 0
@@ -396,9 +400,9 @@ def _cmd_moments(res: _Resolver) -> int:
     order = res.int_("order", 4)
     if order < 1:
         raise ValueError(f"moment order must be >= 1, got {order}")
-    betas = {lab: _parse_beta(v) for lab, v in res.pairs("beta").items()}
-    regimes = _regimes(res.pairs("regime"))
-    ltd = _betas_ltd("rbm" if regimes else "wigner", betas, regimes)
+    labels = {lab for mono, _ in poly.terms for lab in mono.graph.labels()}
+    regimes = _regimes(_label_pairs(res, "regime", labels))
+    ltd = _betas_ltd("rbm" if regimes else "wigner", _betas(res, labels), regimes)
     lines = ["order value"]
     for k in range(1, order + 1):
         value = moments.traffic_moment(poly, k, ltd)

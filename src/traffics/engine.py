@@ -531,25 +531,22 @@ def _trace_values(
 ) -> np.ndarray:
     if n < 1 or samples < 1:
         raise ValueError(f"need n >= 1 and samples >= 1, got n={n}, samples={samples}")
-    terms = _injective_terms(T) if injective else ((1, T),)
     labels = T.labels()
     # Normalizing tr^0 by the injective-map count instead of n removes the
     # O(1/n) falling-factorial bias, so means are centered on the limit.
     scale = 1.0
     if injective:
+        _injective_terms(T)  # a graph too large for the partition sum fails before any draw
         if n < T.n_vertices:
             return np.zeros(samples)
         for j in range(T.n_vertices):
             scale *= n / (n - j)
 
     def traces(stacked: dict[str, np.ndarray]) -> np.ndarray:
-        # the terms share pendant sums through one context per chunk
+        # the Mobius terms share pendant sums through one context per chunk
         ctx = _Bound(labels, stacked)
-        out = None
-        for w, q in terms:
-            val = trace_test_graph(q, ctx, max_rank=max_rank)
-            out = w * val if out is None else out + w * val
-        return np.asarray(out) * (scale / n)
+        trace = trace_injective if injective else trace_test_graph
+        return np.asarray(trace(T, ctx, max_rank=max_rank)) * (scale / n)
 
     return _sample_values(model, labels, n, samples, seed, threads, traces)
 

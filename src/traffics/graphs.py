@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 
 class Edge(NamedTuple):
@@ -219,6 +219,24 @@ def _collapse(uf: _UnionFind, n: int) -> tuple[list[int], int]:
     return vmap, len(reps)
 
 
+def _glue(
+    n: int, edges: Iterable[Edge], unions: Iterable[tuple[int, int]]
+) -> tuple[TestGraph, list[int]]:
+    """The one gluing rule: identify vertices ``0..n-1`` along ``unions``.
+
+    Classes become vertices numbered by smallest member, and every edge is
+    re-anchored to the classes of its endpoints.  Returns the glued graph
+    and the map from old ids to new ones.
+    """
+    uf = _UnionFind(n)
+    for a, b in unions:
+        uf.union(a, b)
+    vmap, k = _collapse(uf, n)
+    return TestGraph(
+        k, tuple(Edge(vmap[e.src], vmap[e.tar], e.label, e.star) for e in edges)
+    ), vmap
+
+
 def _merge_graphs(
     parts: Sequence[TestGraph], unions: Iterable[tuple[int, int]]
 ) -> tuple[TestGraph, list[int]]:
@@ -227,19 +245,11 @@ def _merge_graphs(
     Part k's vertex v has global id ``offset_k + v``.  Returns the merged
     graph and the map from global ids to new dense ids.
     """
-    offs = [0]
+    off, edges = 0, []
     for g in parts:
-        offs.append(offs[-1] + g.n_vertices)
-    total = offs[-1]
-    uf = _UnionFind(total)
-    for a, b in unions:
-        uf.union(a, b)
-    vmap, k = _collapse(uf, total)
-    edges = []
-    for g, off in zip(parts, offs):
-        for e in g.edges:
-            edges.append(Edge(vmap[e.src + off], vmap[e.tar + off], e.label, e.star))
-    return TestGraph(k, tuple(edges)), vmap
+        edges += [Edge(e.src + off, e.tar + off, e.label, e.star) for e in g.edges]
+        off += g.n_vertices
+    return _glue(off, edges, unions)
 
 
 def concat_product(t1: GraphMonomial, t2: GraphMonomial) -> GraphMonomial:
@@ -267,8 +277,7 @@ def hadamard(t1: GraphMonomial, t2: GraphMonomial) -> GraphMonomial:
 
 def delta(t: GraphMonomial) -> TestGraph:
     """Identify input with output and forget the roots (trace shape)."""
-    g, _ = _merge_graphs((t.graph,), [(t.v_in, t.v_out)])
-    return g
+    return _glue(t.graph.n_vertices, t.graph.edges, [(t.v_in, t.v_out)])[0]
 
 
 def delta_n(t1: NGraphMonomial, t2: NGraphMonomial) -> TestGraph:
@@ -294,54 +303,13 @@ def quotient(g: TestGraph, blocks: Sequence[Sequence[int]]) -> TestGraph:
     vertices (ordered by smallest member); every edge survives, re-anchored
     to the blocks of its endpoints.
     """
-    flat = sorted(v for b in blocks for v in b)
-    if flat != list(range(g.n_vertices)):
+    if not all(blocks) or sorted(v for b in blocks for v in b) != list(range(g.n_vertices)):
         raise ValueError("blocks do not partition the vertex set")
-    order = sorted(range(len(blocks)), key=lambda i: min(blocks[i]))
-    vmap = [0] * g.n_vertices
-    for rank, bi in enumerate(order):
-        for v in blocks[bi]:
-            vmap[v] = rank
-    return TestGraph(
-        len(blocks),
-        tuple(Edge(vmap[e.src], vmap[e.tar], e.label, e.star) for e in g.edges),
-    )
+    return _glue(g.n_vertices, g.edges, [(b[0], v) for b in blocks for v in b])[0]
 
 
 # ---------------------------------------------------------------------------
 # substitution
-
-def _substitute_edges(
-    g: TestGraph, roots: tuple[int, ...], per_edge: Sequence[GraphMonomial]
-) -> tuple[TestGraph, tuple[int, ...]]:
-    """Replace edge k of g by the bi-rooted monomial per_edge[k].
-
-    The source of the edge is glued to the input root of the replacement,
-    the target to the output root.  Star flags must already be resolved
-    (pass the adjoint monomial for a starred edge).
-    """
-    if g.n_edges == 0:
-        return g, roots
-    offs = [0, g.n_vertices]
-    graphs: list[TestGraph] = []
-    for s in per_edge:
-        graphs.append(s.graph)
-        offs.append(offs[-1] + s.graph.n_vertices)
-    total = offs[-1]
-    uf = _UnionFind(total)
-    edges: list[Edge] = []
-    for k, (e, s) in enumerate(zip(g.edges, per_edge)):
-        off = offs[k + 1]
-        for f in s.graph.edges:
-            edges.append(Edge(f.src + off, f.tar + off, f.label, f.star))
-        uf.union(e.src, s.v_in + off)
-        uf.union(e.tar, s.v_out + off)
-    vmap, nk = _collapse(uf, total)
-    out = TestGraph(
-        nk, tuple(Edge(vmap[e.src], vmap[e.tar], e.label, e.star) for e in edges)
-    )
-    return out, tuple(vmap[r] for r in roots)
-
 
 def _binding_terms(
     e: Edge, bindings: Mapping[str, Any]
@@ -361,6 +329,28 @@ def _binding_terms(
     return terms
 
 
+def _substitutions(
+    g: TestGraph, roots: tuple[int, ...], bindings: Mapping[str, Any]
+) -> Iterator[tuple[Any, TestGraph, tuple[int, ...]]]:
+    """(coefficient, graph, roots), one per choice of bound term on each edge.
+
+    Edge k of g is replaced by its chosen monomial: the source of the edge
+    is glued to the input root of the replacement, the target to the output
+    root (a starred edge receives the adjoint).
+    """
+    per_edge = [_binding_terms(e, bindings) for e in g.edges]
+    for combo in _iproduct(*per_edge):
+        coeff: Any = 1
+        off, edges, unions = g.n_vertices, [], []
+        for e, (s, c) in zip(g.edges, combo):
+            coeff = coeff * c
+            edges += [Edge(f.src + off, f.tar + off, f.label, f.star) for f in s.graph.edges]
+            unions += [(e.src, s.v_in + off), (e.tar, s.v_out + off)]
+            off += s.graph.n_vertices
+        sub, vmap = _glue(off, edges, unions)
+        yield coeff, sub, tuple(vmap[r] for r in roots)
+
+
 def substitute_graph(
     g: TestGraph, bindings: Mapping[str, Any]
 ) -> tuple[tuple[Any, TestGraph], ...]:
@@ -370,15 +360,7 @@ def substitute_graph(
     :class:`TrafficPolynomial`.  Returns (coefficient, graph) pairs, one per
     choice of polynomial term on each edge; graphs are not deduplicated.
     """
-    per_edge = [_binding_terms(e, bindings) for e in g.edges]
-    out = []
-    for combo in _iproduct(*per_edge):
-        coeff: Any = 1
-        for _, c in combo:
-            coeff = coeff * c
-        sub, _ = _substitute_edges(g, (), [m for m, _ in combo])
-        out.append((coeff, sub))
-    return tuple(out)
+    return tuple((coeff, sub) for coeff, sub, _ in _substitutions(g, (), bindings))
 
 
 def substitute(t: Any, bindings: Mapping[str, Any]) -> "TrafficPolynomial":
@@ -396,17 +378,10 @@ def substitute(t: Any, bindings: Mapping[str, Any]) -> "TrafficPolynomial":
         return TrafficPolynomial.from_terms(acc)
     if not isinstance(t, GraphMonomial):
         raise TypeError("substitute expects a GraphMonomial or TrafficPolynomial")
-    per_edge = [_binding_terms(e, bindings) for e in t.graph.edges]
-    acc = []
-    for combo in _iproduct(*per_edge):
-        coeff: Any = 1
-        for _, c in combo:
-            coeff = coeff * c
-        sub, (vi, vo) = _substitute_edges(
-            t.graph, (t.v_in, t.v_out), [m for m, _ in combo]
-        )
-        acc.append((GraphMonomial(sub, vi, vo), coeff))
-    return TrafficPolynomial.from_terms(acc)
+    return TrafficPolynomial.from_terms(
+        (GraphMonomial(sub, vi, vo), coeff)
+        for coeff, sub, (vi, vo) in _substitutions(t.graph, (t.v_in, t.v_out), bindings)
+    )
 
 
 def _conj(c: Any) -> Any:

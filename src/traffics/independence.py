@@ -478,15 +478,14 @@ def freeness_moment_test(
     """
     from .engine import Estimate, _mean_stderr, _sample_values
     from .ensembles import MatrixModel
-    from .limits import model_ltd
+    from .limits import model_ltd, model_support
     from .moments import eval_polynomial_matrix, mixed_moment_ltd, traffic_moment
 
     import numpy as np
 
     word = tuple(word)
     mm = MatrixModel(model)
-    profiles = mm.profiles()
-    if any(lab not in profiles or profiles[lab].regime == "fixed" for lab in mm.labels):
+    if model_support(mm) != "double_tree":
         raise ValueError("moment sums scan double-tree quotients only, so every label "
                          "needs a band regime other than fixed")
     ltd = model_ltd(mm)

@@ -29,7 +29,7 @@ from itertools import permutations
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .ensembles import BandProfile, EntrySpec, MatrixModel, _double_factorial_odd
-from .graphs import Edge, TestGraph, _UnionFind, edge_classes
+from .graphs import Edge, TestGraph, _collapse, _UnionFind, edge_classes
 
 Number = Union[int, float, Fraction, complex]
 
@@ -91,13 +91,6 @@ class DoubleTreeReport:
         out: dict[str, int] = {}
         for p in self.pads:
             if p.orientation == "congruent":
-                out[p.label] = out.get(p.label, 0) + 1
-        return out
-
-    def opposing_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for p in self.pads:
-            if p.orientation == "opposing":
                 out[p.label] = out.get(p.label, 0) + 1
         return out
 
@@ -241,36 +234,22 @@ def forest_transform(T: TestGraph, regimes: RegimeAssignment) -> tuple[TestGraph
     for pad in rep.pads:
         if roles[pad.label] == "contract":
             uf.union(pad.u, pad.v)
-    reps: dict[int, int] = {}
-    vmap = []
-    for v in range(n):
-        r = uf.find(v)
-        if r not in reps:
-            reps[r] = len(reps)
-        vmap.append(reps[r])
+    vmap, m = _collapse(uf, n)
     kept = [
         Edge(vmap[g.edges[i].src], vmap[g.edges[i].tar], g.edges[i].label)
         for pad in rep.pads
         if roles[pad.label] == "keep"
         for i in pad.members
     ]
-    m = len(reps)
     cuf = _UnionFind(m)
     for e in kept:
         cuf.union(e.src, e.tar)
-    comp_vertices: dict[int, list[int]] = {}
-    for v in range(m):
-        comp_vertices.setdefault(cuf.find(v), []).append(v)
+    comp, k = _collapse(cuf, m)
     out = []
-    for root in sorted(comp_vertices, key=lambda r: min(comp_vertices[r])):
-        vs = comp_vertices[root]
-        local = {v: i for i, v in enumerate(sorted(vs))}
-        edges = tuple(
-            Edge(local[e.src], local[e.tar], e.label)
-            for e in kept
-            if cuf.find(e.src) == root
-        )
-        out.append(TestGraph(len(vs), edges))
+    for c in range(k):
+        local = {v: i for i, v in enumerate(v for v in range(m) if comp[v] == c)}
+        edges = tuple(Edge(local[e.src], local[e.tar], e.label) for e in kept if comp[e.src] == c)
+        out.append(TestGraph(len(local), edges))
     return tuple(out)
 
 
@@ -967,26 +946,17 @@ def double_tree_quotients(
             else:
                 ok = False  # third edge in a class
                 break
-        if ok:
-            open_classes += opened - closed
-            if open_classes > remaining[v + 1]:
-                ok = False  # not enough future edges to close the pads
-                open_classes -= opened - closed
-        if not ok:
-            for key in reversed(undo_cls):
-                members = cls_edges[key]
-                if len(members) == 2:
-                    members.pop()
-                else:
-                    del cls_edges[key]
-            for ra in reversed(undo_union):
-                parent[ra] = ra
+        open_classes += opened - closed
+        record = (undo_cls, undo_union, opened - closed)
+        # a pad left open needs one of the edges still to come to close it
+        if not ok or open_classes > remaining[v + 1]:
+            undo(record)
             return None
-        return undo_cls, undo_union, opened - closed
+        return record
 
-    def undo_place(rec) -> None:  # reverse of try_place's success path
+    def undo(record) -> None:
         nonlocal open_classes
-        undo_cls, undo_union, delta = rec
+        undo_cls, undo_union, net = record
         for key in reversed(undo_cls):
             members = cls_edges[key]
             if len(members) == 2:
@@ -995,7 +965,7 @@ def double_tree_quotients(
                 del cls_edges[key]
         for ra in reversed(undo_union):
             parent[ra] = ra
-        open_classes -= delta
+        open_classes -= net
 
     def rec(v: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], TestGraph]]:
         if v == n:
@@ -1020,7 +990,7 @@ def double_tree_quotients(
                 yield from rec(v + 1)
                 blocks[b].pop()
                 block_of[v] = -1
-                undo_place(rec_state)
+                undo(rec_state)
             if fresh:
                 blocks.pop()
 
@@ -1089,3 +1059,17 @@ def model_ltd(model: MatrixModel) -> Callable[[TestGraph], Number]:
         return lambda T: fixed_band_ltd(T, bands, entries).value
     betas = {lab: e.beta for lab, e in entries.items()}
     return lambda T: rbm_ltd(T, profiles, betas)
+
+
+def model_support(model: MatrixModel) -> str:
+    """Which quotients the limit of :func:`model_ltd` lives on, as the
+    ``support`` of :func:`ltd_trace`.
+
+    Band regimes other than fixed concentrate on double trees.  Haar limits
+    live on cacti and fixed-band limits on every quotient, so any label
+    without such a regime needs the full partition lattice.
+    """
+    profiles = model.profiles()
+    if all(lab in profiles and profiles[lab].regime != "fixed" for lab in model.labels):
+        return "double_tree"
+    return "all"

@@ -23,7 +23,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from typing import Any, Callable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from .graphs import (
     TrafficPolynomial,
     canonical_key,
     col_op,
+    delta,
     edge_monomial,
-    quotient,
     row_op,
     substitute_graph,
     unit_monomial,
@@ -68,28 +68,39 @@ def poly_power(a: Any, m: int) -> TrafficPolynomial:
     return out
 
 
-def trace_closure(t: GraphMonomial) -> TestGraph:
-    """Glue the output root to the input root: the graph of tr t(A)."""
-    if t.v_in == t.v_out:
-        return t.graph
-    blocks = [[t.v_in, t.v_out]]
-    blocks += [[v] for v in range(t.graph.n_vertices) if v not in (t.v_in, t.v_out)]
-    return quotient(t.graph, blocks)
+# the graph of tr t(A): the output root glued to the input root
+trace_closure = delta
+
+
+def _slot_cycle(m: int) -> tuple[list[str], TestGraph]:
+    """Slot labels and the m-cycle of tr(a_1 ... a_m): entry (i_j, i_{j+1})
+    of factor j is an edge from the later index vertex into the earlier one."""
+    slots = [f"slot{j}" for j in range(m)]
+    return slots, TestGraph(m, tuple(Edge((j + 1) % m, j, slots[j]) for j in range(m)))
+
+
+def _closed_sum(
+    terms: Iterable[tuple[Any, TestGraph]], ltd_fn: Callable[[TestGraph], Number]
+) -> Number:
+    """Sum of coeff * ltd_trace(g) over (coeff, closed graph) pairs, with one
+    ltd_trace per isomorphism class."""
+    memo: dict[tuple, Number] = {}
+    total: Number = 0
+    for coeff, g in terms:
+        key = canonical_key(g)
+        if key not in memo:
+            memo[key] = ltd_trace(g, ltd_fn)
+        total = total + coeff * memo[key]
+    return total
 
 
 def polynomial_trace_ltd(
     a: Any, ltd_fn: Callable[[TestGraph], Number]
 ) -> Number:
     """Limit of E (1/n) tr a(A): close each term and sum quotient limits."""
-    memo: dict[tuple, Number] = {}
-    total: Number = 0
-    for mono, coeff in _as_poly(a).terms:
-        g = trace_closure(mono)
-        key = canonical_key(g)
-        if key not in memo:
-            memo[key] = ltd_trace(g, ltd_fn)
-        total = total + coeff * memo[key]
-    return total
+    return _closed_sum(
+        ((coeff, trace_closure(mono)) for mono, coeff in _as_poly(a).terms), ltd_fn
+    )
 
 
 def _cyclic_word_ltd(
@@ -111,22 +122,19 @@ def _cyclic_word_ltd(
     classes = Counter(
         min(w[i:] + w[:i] for i in range(m)) for w in product(*slot_ids)
     )
-    slots = [f"slot{j}" for j in range(m)]
-    cycle = TestGraph(m, tuple(Edge((j + 1) % m, j, slots[j]) for j in range(m)))
-    memo: dict[tuple, Number] = {}
-    total: Number = 0
-    for word, count in classes.items():
-        coeff: Any = count
-        for i in word:
-            coeff = coeff * terms[i][1]
-        ((_, g),) = substitute_graph(
-            cycle, {s: terms[i][0] for s, i in zip(slots, word)}
-        )
-        key = canonical_key(g)
-        if key not in memo:
-            memo[key] = ltd_trace(g, ltd_fn)
-        total = total + coeff * memo[key]
-    return total
+    slots, cycle = _slot_cycle(m)
+
+    def closed() -> Iterator[tuple[Any, TestGraph]]:
+        for word, count in classes.items():
+            coeff: Any = count
+            for i in word:
+                coeff = coeff * terms[i][1]
+            ((_, g),) = substitute_graph(
+                cycle, {s: terms[i][0] for s, i in zip(slots, word)}
+            )
+            yield coeff, g
+
+    return _closed_sum(closed(), ltd_fn)
 
 
 def traffic_moment(
@@ -157,17 +165,12 @@ def word_trace_terms(
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"word length {m} outside [1, {MAX_ORDER}]")
     polys = [_as_poly(a) for a in elements]
-    slots = [f"slot{j}" for j in range(m)]
+    slots, cycle = _slot_cycle(m)
     for p in polys:
         for mono, _ in p.terms:
             clash = set(slots) & set(mono.graph.labels())
             if clash:
                 raise ValueError(f"labels {sorted(clash)} collide with the cycle slots")
-    # entry (i_j, i_{j+1}) of factor j: the edge runs from the later index
-    # vertex into the earlier one
-    cycle = TestGraph(
-        m, tuple(Edge((j + 1) % m, j, slots[j]) for j in range(m))
-    )
     return substitute_graph(cycle, dict(zip(slots, polys)))
 
 
@@ -215,14 +218,8 @@ def clt_alpha_split(
     double_edge = TestGraph(2, (Edge(0, 1, "slot0"), Edge(1, 0, "slot0")))
     double_loop = TestGraph(1, (Edge(0, 0, "slot0"), Edge(0, 0, "slot0")))
 
-    def tau(G: TestGraph) -> Number:
-        total: Number = 0
-        for coeff, g in substitute_graph(G, {"slot0": poly}):
-            total = total + coeff * ltd_trace(g, ltd)
-        return total
-
-    loops = tau(double_loop)
-    return tau(double_edge) - loops, loops
+    loops = _closed_sum(substitute_graph(double_loop, {"slot0": poly}), ltd)
+    return _closed_sum(substitute_graph(double_edge, {"slot0": poly}), ltd) - loops, loops
 
 
 def semicircle_moment(m: int) -> int:

@@ -66,6 +66,28 @@ def test_ltd_fixed_band(capsys):
     assert "monotone: yes" in out
 
 
+# a fixed-band limit lives off double trees too: tau of the pad is tau0 of
+# the pad (0.6640625) plus tau0 of its double-loop quotient (1/3)
+FIXED_PAD_TRACE = 0.6640625 + 1 / 3
+
+
+def test_ltd_fixed_ensemble_trace_sums_every_quotient(capsys):
+    code, out, _ = run(capsys, "ltd", "--graph", PAD, "--ensemble", "fixed:1", "--trace")
+    assert code == 0
+    assert out.splitlines()[-1] == f"ltd = {FIXED_PAD_TRACE:.6f}"
+
+
+def test_estimate_fixed_ensemble_theory_sums_every_quotient(capsys):
+    code, out, _ = run(
+        capsys, "estimate", "--graph", PAD, "--ensemble", "fixed:1", "--n", "200",
+        "--samples", "50", "--seed", "1",
+    )
+    assert code == 0
+    row = out.splitlines()[1].split(",")
+    assert abs(float(row[5]) - FIXED_PAD_TRACE) < 1e-9
+    assert float(row[7]) < 3
+
+
 def test_ltd_complex_entry(capsys):
     code, out, _ = run(
         capsys, "ltd", "--graph", "e 0 1 x; e 0 1 x", "--entry", "x=gaussian:1/2"
@@ -306,6 +328,9 @@ def test_program_bugs_are_not_user_errors(monkeypatch, capsys):
     ("estimate", "--graph", PAD, "--n", "5", "--samples", "2", "--entry", "y=rademacher"),
     ("ltd", "--graph", PAD, "--band", "y=2"),
     ("ltd", "--graph", "e 0 1 x; e 1 0 x; e 1 2 y; e 2 1 y", "--band", "x=2"),
+    ("moments", "--poly", "x", "--order", "2", "--beta", "y=2"),
+    ("moments", "--poly", "x", "--order", "2", "--regime", "x=proportional:1/2,y=slow:0.5"),
+    ("independence", "--max-pads", "1", "--beta", "z=2"),
 ])
 def test_bad_numbers_are_user_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -169,6 +169,41 @@ def test_quotient_identity_partition():
     assert canonical_key(q) == canonical_key(g)
 
 
+def naive_quotient(g, blocks):
+    """Blocks numbered by smallest member, every edge re-anchored, stars kept."""
+    firsts = sorted(min(b) for b in blocks)
+    block_of = {v: firsts.index(min(b)) for b in blocks for v in b}
+    return TestGraph(len(blocks), tuple(
+        Edge(block_of[e.src], block_of[e.tar], e.label, e.star) for e in g.edges))
+
+
+@st.composite
+def graphs_with_partitions(draw):
+    g = draw(connected_graphs())
+    groups = {}
+    for v in range(g.n_vertices):
+        groups.setdefault(draw(st.integers(0, g.n_vertices - 1)), []).append(v)
+    # neither the order of the blocks nor the order inside one may matter
+    blocks = draw(st.permutations(list(groups.values())))
+    return g, [draw(st.permutations(b)) for b in blocks]
+
+
+@given(graphs_with_partitions())
+def test_quotient_is_the_naive_gluing_rule(gb):
+    g, blocks = gb
+    assert quotient(g, blocks) == naive_quotient(g, blocks)
+    with pytest.raises(ValueError):
+        quotient(g, blocks + [()])
+
+
+@given(connected_graphs(), st.data())
+def test_delta_is_the_quotient_gluing_the_roots(g, data):
+    v_in, v_out = (data.draw(st.integers(0, g.n_vertices - 1)) for _ in range(2))
+    blocks = [sorted({v_in, v_out})] + [
+        [v] for v in range(g.n_vertices) if v not in (v_in, v_out)]
+    assert delta(GraphMonomial(g, v_in, v_out)) == naive_quotient(g, blocks)
+
+
 def test_edge_classes_group_by_endpoints():
     g = TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "x"), Edge(0, 0, "y")))
     classes = edge_classes(g)
