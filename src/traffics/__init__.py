@@ -74,7 +74,6 @@ from .limits import (
     CactusReport,
     DoubleTreeReport,
     FixedBandLTD,
-    FixedBandReport,
     PiecewisePoly,
     catalan,
     classify_double_tree,
@@ -85,8 +84,8 @@ from .limits import (
     degree_moment_order,
     double_tree_quotients,
     fixed_band_count,
+    fixed_band_density,
     fixed_band_ltd,
-    fixed_band_p,
     forest_transform,
     haar_ltd,
     ltd_trace,

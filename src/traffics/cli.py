@@ -225,14 +225,23 @@ def _betas(res: _Resolver, labels: Sequence[str]) -> dict[str, Any]:
 
 
 def _assemble(labels: Sequence[str], res: _Resolver) -> ensembles.MatrixModel:
-    """The matrix model of --ensemble, --regime and --entry over ``labels``."""
+    """The matrix model of --ensemble, --regime, --band and --entry over
+    ``labels``; ``--band LABEL=B`` spells ``--regime LABEL=fixed:B`` and
+    needs a width for every label."""
     ensemble = res.str_("ensemble", "wigner")
     if ensemble == "haar":
-        if res.pairs("regime") or res.pairs("entry"):
+        if res.pairs("regime") or res.pairs("entry") or res.pairs("band"):
             raise ValueError("haar ensembles take no regime or entry flags")
         return ensembles.MatrixModel({lab: "haar" for lab in labels})
     base = ensembles.BandProfile.parse(ensemble)
-    profiles = _regimes(_label_pairs(res, "regime", labels))
+    regime_flags = _label_pairs(res, "regime", labels)
+    if res.pairs("band"):
+        bands = _label_pairs(res, "band", labels, every=True)
+        both = sorted(set(bands) & set(regime_flags))
+        if both:
+            raise ValueError(f"--band and --regime both set labels: {', '.join(both)}")
+        regime_flags.update({lab: f"fixed:{b}" for lab, b in bands.items()})
+    profiles = _regimes(regime_flags)
     entry_flags = _label_pairs(res, "entry", labels)
     return ensembles.MatrixModel({
         lab: (
@@ -262,42 +271,20 @@ def _betas_ltd(
 
 def _cmd_ltd(res: _Resolver) -> int:
     T = _load_graph(res.str_("graph"))
-    lines = []
-    if res.pairs("band"):
-        bands = _label_pairs(res, "band", T.labels(), every=True)
-        widths = {lab: int(b) for lab, b in bands.items()}
-        entry_flags = _label_pairs(res, "entry", T.labels())
-        entries = {
-            lab: _parse_entry(spec) for lab, spec in entry_flags.items()
-        } or None
-        ns = res.ints("n", "16,32,64,128")
-        result = limits.fixed_band_ltd(T, widths, entries, ns)
-        rep = limits.classify_double_tree(T)
-        lines.append(_classification_line(rep))
-        if result.report is not None:
-            fr = result.report
-            lines.append(
-                "fekete: p >= %s on n grid %s (monotone: %s, bound %s)"
-                % (_fmt(fr.p_lower), ",".join(map(str, fr.ns)),
-                   "yes" if fr.monotone else "no", _fmt(fr.upper_bound))
-            )
-        lines.append(f"ltd = {_fmt_value(result.value)}")
-    else:
-        model = _assemble(T.labels(), res)
-        ltd = limits.model_ltd(model)
-        if ltd is limits.haar_ltd:
-            rep = limits.classify_orthogonal_cactus(T)
-            if rep.is_cactus and rep.is_anti_directed:
-                pads = ",".join(map(str, rep.pad_sizes))
-                lines.append(f"orthogonal cactus: yes (pads {pads})")
-            else:
-                lines.append(f"orthogonal cactus: no ({rep.reason})")
+    model = _assemble(T.labels(), res)
+    ltd = limits.model_ltd(model)
+    if ltd is limits.haar_ltd:
+        rep = limits.classify_orthogonal_cactus(T)
+        if rep.is_cactus and rep.is_anti_directed:
+            pads = ",".join(map(str, rep.pad_sizes))
+            line = f"orthogonal cactus: yes (pads {pads})"
         else:
-            lines.append(_classification_line(limits.classify_double_tree(T)))
-        support = limits.model_support(model)
-        value = limits.ltd_trace(T, ltd, support=support) if res.flag("trace") else ltd(T)
-        lines.append(f"ltd = {_fmt_value(value)}")
-    _write_out("\n".join(lines) + "\n", res.str_("out"))
+            line = f"orthogonal cactus: no ({rep.reason})"
+    else:
+        line = _classification_line(limits.classify_double_tree(T))
+    support = limits.model_support(model)
+    value = limits.ltd_trace(T, ltd, support=support) if res.flag("trace") else ltd(T)
+    _write_out(f"{line}\nltd = {_fmt_value(value)}\n", res.str_("out"))
     return 0
 
 
@@ -384,7 +371,7 @@ def _cmd_independence(res: _Resolver) -> int:
     labels = tuple((res.str_("labels", "x,y") or "x,y").split(","))
     max_pads = res.int_("max_pads", 3)
     corpus = independence.build_double_tree_corpus(max_pads, labels)
-    fams = res.pairs("families") or None
+    fams = _label_pairs(res, "families", labels) or None
     regimes = _regimes(_label_pairs(res, "regime", labels))
     ltd = _betas_ltd(res.str_("ltd", "wigner"), _betas(res, labels), regimes)
     report = independence.verify_traffic_independence(ltd, fams, corpus)
@@ -510,9 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", help="graph file (text format)")
     p.add_argument("--regime", action="append", help="label=REGIME[:PARAM]")
     p.add_argument("--entry", action="append", help="label=gaussian[:BETA]|rademacher")
-    p.add_argument("--band", action="append", help="label=WIDTH (fixed band)")
+    p.add_argument("--band", action="append",
+                   help="label=WIDTH, the same as --regime label=fixed:WIDTH; "
+                   "needs every label")
     p.add_argument("--ensemble", help="wigner|full|haar|REGIME:PARAM for all labels")
-    p.add_argument("--n", help="n grid for the fixed-band count")
     p.add_argument("--trace", action="store_const", const=True, default=None,
                    help="sum the limit over quotients (tau instead of tau0)")
 

@@ -11,8 +11,10 @@ dimension grows:
 * Band regimes refine the picture: slowly growing bands contract, full-width
   bands delete, proportional bands keep their classes, and the surviving
   forest is scored by an exact cut-probability integral p_T.
-* Fixed band widths stop concentrating; the limit is a Fekete density of
-  band-compatible injective maps times a product of entry moments.
+* Fixed band widths stop concentrating; the limit is an integer count of
+  band-compatible injective maps with one vertex pinned (the exact density
+  of the finite-n counts) times a product of entry moments, normalized by
+  the band widths.
 * Haar orthogonal families live on anti-directed cacti and produce signed
   Catalan numbers.
 
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
 from .ensembles import BandProfile, EntrySpec, MatrixModel, _double_factorial_odd
 from .graphs import Edge, TestGraph, _collapse, _UnionFind, edge_classes
@@ -146,9 +148,7 @@ def wigner_ltd(T: TestGraph, betas: Any = None) -> Number:
     return out
 
 
-def ordering_sum_ltd(
-    T: TestGraph, betas: Any = None, *, component_cap: int = ORDERING_COMPONENT_CAP
-) -> Number:
+def ordering_sum_ltd(T: TestGraph, betas: Any = None) -> Number:
     """Wigner limit for possibly non-real pseudo-variances.
 
     Congruent pads weight beta or conj(beta) according to the relative order
@@ -180,9 +180,10 @@ def ordering_sum_ltd(
     total: Number = base
     for pads in groups.values():
         cverts = sorted({v for p in pads for v in (p.u, p.v)})
-        if len(cverts) > component_cap:
+        if len(cverts) > ORDERING_COMPONENT_CAP:
             raise ValueError(
-                f"ordering sum over {len(cverts)} vertices exceeds the cap {component_cap}"
+                f"ordering sum over {len(cverts)} vertices exceeds the cap "
+                f"{ORDERING_COMPONENT_CAP}"
             )
         acc: complex = 0
         for order in permutations(cverts):
@@ -566,9 +567,16 @@ def degree_moment_order(m: int, c) -> Fraction:
 # ---------------------------------------------------------------------------
 # fixed band width
 
-def _band_windows(g: TestGraph, bands: Mapping[str, int]) -> dict[tuple[int, int], int]:
-    """Per skeleton pair, the tightest band width over the class's labels."""
-    out: dict[tuple[int, int], int] = {}
+def _band_maps(T: TestGraph, bands: Mapping[str, int], n: Optional[int]) -> int:
+    """Injective maps phi: V -> {0..n-1}, or V -> Z with phi(0) = 0 when n
+    is None, that keep every non-loop class within its band window (the
+    tightest band width over the class's labels).
+
+    Backtracks in breadth-first order from vertex 0, after checking that the
+    product of the per-vertex choices stays within FIXED_BAND_WORK_LIMIT.
+    """
+    g = _strip_stars(T)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n_vertices)]
     for cls in edge_classes(g):
         if cls.is_loop:
             continue
@@ -578,58 +586,26 @@ def _band_windows(g: TestGraph, bands: Mapping[str, int]) -> dict[tuple[int, int
             if lab not in bands:
                 raise ValueError(f"no band width for label {lab!r}")
             ws.append(int(bands[lab]))
-        out[(cls.u, cls.v)] = min(ws)
-    return out
-
-
-def fixed_band_count(
-    T: TestGraph,
-    bands: Mapping[str, int],
-    n: int,
-    ordering: Optional[Sequence[int]] = None,
-    *,
-    work_limit: int = FIXED_BAND_WORK_LIMIT,
-) -> int:
-    """Number of injective maps phi: V -> {0..n-1} with |phi(u) - phi(v)|
-    bounded by the tightest band width over every non-loop class.
-
-    ``ordering`` optionally lists the vertices in decreasing phi; only maps
-    compatible with it are counted.
-    """
-    g = _strip_stars(T)
-    windows = _band_windows(g, bands)
-    nv = g.n_vertices
-    if ordering is not None and sorted(ordering) != list(range(nv)):
-        raise ValueError("ordering must list every vertex exactly once")
-    rank = {v: i for i, v in enumerate(ordering)} if ordering is not None else None
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(nv)}
-    for (u, v), w in windows.items():
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    # breadth-first vertex order; bound the search before running it
+        adj[cls.u].append((cls.v, min(ws)))
+        adj[cls.v].append((cls.u, min(ws)))
     order = [0]
-    seen = {0}
-    first_w = {}
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
+    tree_w: dict[int, int] = {}  # window of the class each vertex is reached through
+    for u in order:
         for v, w in sorted(adj[u]):
-            if v not in seen:
-                seen.add(v)
-                first_w[v] = w
+            if v != 0 and v not in tree_w:
+                tree_w[v] = w
                 order.append(v)
-    for v in range(nv):  # vertices with loop edges only
-        if v not in seen:
-            seen.add(v)
-            order.append(v)
-    work = n
-    for v in order[1:]:
-        work *= min(2 * first_w[v] + 1, n) if v in first_w else n
-        if work > work_limit:
-            raise ValueError(f"fixed-band count work bound exceeds {work_limit}")
-    phi = [-1] * nv
-    used = [False] * (n + 1)
+    if n is None:
+        reach = sum(tree_w.values())
+        box, first = (-reach, reach), (0, 0)
+        work = math.prod(2 * w + 1 for w in tree_w.values())
+    else:
+        box = first = (0, n - 1)
+        work = n * math.prod(min(2 * w + 1, n) for w in tree_w.values())
+    if work > FIXED_BAND_WORK_LIMIT:
+        raise ValueError(f"fixed-band count work bound exceeds {FIXED_BAND_WORK_LIMIT}")
+    phi: list[Optional[int]] = [None] * g.n_vertices
+    used: set[int] = set()
     total = 0
 
     def rec(k: int) -> None:
@@ -638,98 +614,59 @@ def fixed_band_count(
             total += 1
             return
         v = order[k]
-        lo, hi = 0, n - 1
+        lo, hi = box if k else first
         for u, w in adj[v]:
-            if phi[u] >= 0:
+            if phi[u] is not None:
                 lo = max(lo, phi[u] - w)
                 hi = min(hi, phi[u] + w)
         for val in range(lo, hi + 1):
-            if used[val]:
+            if val in used:
                 continue
-            if rank is not None:
-                ok = True
-                for u in order[:k]:
-                    if (rank[u] < rank[v]) != (phi[u] > val):
-                        ok = False
-                        break
-                if not ok:
-                    continue
             phi[v] = val
-            used[val] = True
+            used.add(val)
             rec(k + 1)
-            used[val] = False
-        phi[v] = -1
+            used.discard(val)
+        phi[v] = None
 
     rec(0)
     return total
 
 
-@dataclass(frozen=True)
-class FixedBandReport:
-    """Fekete data for the injective map density of a fixed-band graph."""
-
-    ns: tuple[int, ...]
-    counts: tuple[int, ...]
-    ratios: tuple[float, ...]
-    p_lower: float  # certified lower bound on the superadditive limit
-    upper_bound: float  # spanning-tree product bound on the limit
-    monotone: bool  # whether the reported ratios are nondecreasing
+def fixed_band_count(T: TestGraph, bands: Mapping[str, int], n: int) -> int:
+    """Number of injective maps phi: V -> {0..n-1} with |phi(u) - phi(v)|
+    bounded by the tightest band width over every non-loop class."""
+    return _band_maps(T, bands, n)
 
 
-def fixed_band_p(
-    T: TestGraph, bands: Mapping[str, int], ns: Sequence[int]
-) -> FixedBandReport:
-    """Estimate the Fekete density p = lim a_n / n from exact counts.
+def fixed_band_density(T: TestGraph, bands: Mapping[str, int]) -> int:
+    """Number of injective maps phi: V -> Z with phi(0) = 0 and every
+    non-loop class within its band window.
 
-    a_n is superadditive, so every a_n / n is a certified lower bound on p;
-    the report flags whether the ratios are nondecreasing on the grid.
+    It is the exact density lim a_n / n of a_n = fixed_band_count(T, bands,
+    n): each such map fits in {0..n-1} at n - span(phi) offsets, so a_n =
+    C n - K for every n past the largest span.
     """
-    g = _strip_stars(T)
-    windows = _band_windows(g, bands)
-    ns = tuple(sorted(int(n) for n in ns))
-    counts = tuple(fixed_band_count(T, bands, n) for n in ns)
-    ratios = tuple(a / n for a, n in zip(counts, ns))
-    bound = 1.0
-    # product over a spanning tree of class windows (first-BFS-entry widths)
-    seen = {0}
-    frontier = [0]
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n_vertices)}
-    for (u, v), w in windows.items():
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    while frontier:
-        u = frontier.pop()
-        for v, w in sorted(adj[u]):
-            if v not in seen:
-                seen.add(v)
-                bound *= 2 * w
-                frontier.append(v)
-    return FixedBandReport(
-        ns, counts, ratios, max(ratios) if ratios else 0.0, bound,
-        all(r2 >= r1 - 1e-12 for r1, r2 in zip(ratios, ratios[1:])),
-    )
+    return _band_maps(T, bands, None)
 
 
 @dataclass(frozen=True)
 class FixedBandLTD:
-    value: float
+    value: Number
+    density: Optional[int]  # None when the moment factor vanishes
     moment_factor: Number
-    denominator: float
-    report: Optional[FixedBandReport]
+    norm_sq: int  # prod over edges of (2 b + 1), the squared normalization
 
 
 def fixed_band_ltd(
-    T: TestGraph,
-    bands: Mapping[str, int],
-    entries: Any = None,
-    ns: Optional[Sequence[int]] = None,
+    T: TestGraph, bands: Mapping[str, int], entries: Any = None
 ) -> FixedBandLTD:
     """Limit of tau^0[T] for fixed band widths and real iid entry laws.
 
-    The limit is (lim a_n/n) * S(T) / prod over edges sqrt(2 b + 1), where
-    S(T) multiplies entry moments per class and a_n counts band-compatible
-    injective maps.  The Fekete density is reported via its best certified
-    lower bound on the given grid (default 16..256 doubling).
+    The limit is C(T) S(T) / sqrt(P): C is :func:`fixed_band_density`, S(T)
+    multiplies entry moments per class and P = prod over edges (2 b + 1).
+    The value is an exact Fraction when P is a perfect square and S is
+    rational, which every nonzero limit under a symmetric law (Gaussian,
+    Rademacher) satisfies; otherwise it is a float and ``norm_sq`` keeps P.
     """
     g = _strip_stars(T)
 
@@ -750,15 +687,16 @@ def fixed_band_ltd(
             spec = entry_for(lab)
             mom = spec.diag_moment(m) if cls.is_loop else spec.real_moment(m)
             s_factor = s_factor * mom
-    denom = 1.0
-    for e in g.edges:
-        denom *= math.sqrt(2 * int(bands[e.label]) + 1)
+    norm_sq = math.prod(2 * int(bands[e.label]) + 1 for e in g.edges)
     if s_factor == 0:
-        return FixedBandLTD(0.0, s_factor, denom, None)
-    if ns is None:
-        ns = (16, 32, 64, 128, 256)
-    report = fixed_band_p(T, bands, ns)
-    return FixedBandLTD(report.p_lower * float(s_factor) / denom, s_factor, denom, report)
+        return FixedBandLTD(Fraction(0), None, s_factor, norm_sq)
+    density = fixed_band_density(g, bands)
+    root = math.isqrt(norm_sq)
+    if root * root == norm_sq and isinstance(s_factor, (int, Fraction)):
+        value: Number = Fraction(density * s_factor, root)
+    else:
+        value = density * float(s_factor) / math.sqrt(norm_sq)
+    return FixedBandLTD(value, density, s_factor, norm_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -1046,9 +984,9 @@ def model_ltd(model: MatrixModel) -> Callable[[TestGraph], Number]:
     """The injective-limit evaluator of a matrix model.
 
     An all-Haar model gives :func:`haar_ltd`; an all-fixed-band model gives
-    the value of :func:`fixed_band_ltd` (the certified lower bound on the
-    Fekete density); any other model gives :func:`rbm_ltd` with the
-    pseudo-variances of its entry laws.
+    the value of :func:`fixed_band_ltd` (exact wherever it is rational); any
+    other model gives :func:`rbm_ltd` with the pseudo-variances of its entry
+    laws.
     """
     profiles, entries = model.profiles(), model.entries()
     kinds = {profiles[lab].regime if lab in profiles else "haar" for lab in model.labels}

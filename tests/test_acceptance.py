@@ -60,7 +60,7 @@ from traffics.limits import (
     cut_probability,
     degree_moment_order,
     fixed_band_count,
-    fixed_band_p,
+    fixed_band_density,
     haar_ltd,
     rbm_ltd,
     wigner_ltd,
@@ -504,10 +504,10 @@ def test_independence_audit_and_documented_violations():
 # fixed band widths
 
 def test_fixed_band_superadditivity_bounds_and_vanishing():
-    """Band-compatible injective map counts are superadditive in n on five
-    graphs; every Fekete report keeps its certified lower bound at or below
-    the spanning-tree upper bound; a star with more than 2b legs admits no
-    compatible injective map at all."""
+    """Band-compatible injective map counts a_n are superadditive in n on
+    five graphs; each stays at or below C n for the exact density C and
+    equals C n minus a constant once n passes the graph's span; a star with
+    more than 2b legs admits no compatible injective map at all."""
     E = Edge
     fixtures = [
         (pads([(0, 1, "o")]), {"x": 1}),
@@ -521,8 +521,10 @@ def test_fixed_band_superadditivity_bounds_and_vanishing():
         for m in range(3, 10):
             for n in range(3, 10):
                 assert a[m + n] >= a[m] + a[n], (g, m, n)
-        rep = fixed_band_p(g, bands, ns=(8, 16, 32, 64))
-        assert rep.p_lower <= rep.upper_bound
+        C = fixed_band_density(g, bands)
+        assert all(a[n] <= C * n for n in a)
+        span = (g.n_vertices - 1) * max(bands.values())
+        assert len({C * n - a[n] for n in a if n > span}) == 1
 
     for b in (1, 2):
         k = 2 * b + 1
@@ -530,7 +532,7 @@ def test_fixed_band_superadditivity_bounds_and_vanishing():
         assert all(fixed_band_count(star, {"x": b}, n) == 0 for n in (4, 8, 16, 32))
         fits = TestGraph(k, tuple(E(0, i, "x") for i in range(1, k)))
         assert fixed_band_count(fits, {"x": b}, 16) > 0
-    print("PASS fixed band: superadditive on 5 graphs, bounds hold, "
+    print("PASS fixed band: superadditive on 5 graphs, a_n = C n - K past the span, "
           "overwide stars count zero")
 
 

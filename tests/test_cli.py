@@ -11,6 +11,7 @@ from traffics.moments import parse_poly, traffic_moment
 
 STAR = "n 3\ne 0 1 x\ne 1 0 x\ne 0 2 x\ne 2 0 x\n"
 PAD = "e 0 1 x; e 1 0 x"
+PAD_PATH = "e 0 1 x; e 1 0 x; e 1 2 y; e 2 1 y"
 ANTI4 = "e 0 1 x; e 2 1 x; e 2 3 x; e 0 3 x"
 CYCLE4 = "e 0 1 x; e 1 2 x; e 2 3 x; e 3 0 x"
 
@@ -60,21 +61,34 @@ def test_ltd_trace_flag(capsys):
 
 
 def test_ltd_fixed_band(capsys):
-    code, out, _ = run(capsys, "ltd", "--graph", PAD, "--band", "x=2", "--n", "16,64")
+    code, out, _ = run(capsys, "ltd", "--graph", PAD, "--band", "x=2")
     assert code == 0
-    assert "fekete: p >=" in out
-    assert "monotone: yes" in out
+    assert out.splitlines() == ["double tree: yes (1 pads: x:o)", "ltd = 4/5 ≈ 0.800000"]
+
+
+def test_ltd_band_spells_fixed_regime(capsys):
+    def ltd(*flags):
+        code, out, err = run(capsys, "ltd", *flags)
+        assert code == 0 and err == ""
+        return out
+
+    # --band honours --trace as --ensemble fixed:B does
+    assert ltd("--graph", PAD, "--band", "x=1", "--trace") == ltd(
+        "--graph", PAD, "--ensemble", "fixed:1", "--trace")
+    # labels without an --entry get Gaussian entries, as under --regime
+    rest = ("--graph", PAD_PATH, "--entry", "x=rademacher")
+    assert ltd(*rest, "--band", "x=1,y=1") == ltd(*rest, "--regime", "x=fixed:1,y=fixed:1")
 
 
 # a fixed-band limit lives off double trees too: tau of the pad is tau0 of
-# the pad (0.6640625) plus tau0 of its double-loop quotient (1/3)
-FIXED_PAD_TRACE = 0.6640625 + 1 / 3
+# the pad (2/3) plus tau0 of its double-loop quotient (1/3)
+FIXED_PAD_TRACE = 1
 
 
 def test_ltd_fixed_ensemble_trace_sums_every_quotient(capsys):
     code, out, _ = run(capsys, "ltd", "--graph", PAD, "--ensemble", "fixed:1", "--trace")
     assert code == 0
-    assert out.splitlines()[-1] == f"ltd = {FIXED_PAD_TRACE:.6f}"
+    assert out.splitlines()[-1] == "ltd = 1 ≈ 1.000000"
 
 
 def test_estimate_fixed_ensemble_theory_sums_every_quotient(capsys):
@@ -331,6 +345,8 @@ def test_program_bugs_are_not_user_errors(monkeypatch, capsys):
     ("moments", "--poly", "x", "--order", "2", "--beta", "y=2"),
     ("moments", "--poly", "x", "--order", "2", "--regime", "x=proportional:1/2,y=slow:0.5"),
     ("independence", "--max-pads", "1", "--beta", "z=2"),
+    ("independence", "--max-pads", "1", "--families", "x=a,y=b,z=c"),
+    ("ltd", "--graph", PAD, "--band", "x=1", "--regime", "x=wigner"),
 ])
 def test_bad_numbers_are_user_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -22,8 +22,8 @@ from traffics.limits import (
     degree_moment_order,
     double_tree_quotients,
     fixed_band_count,
+    fixed_band_density,
     fixed_band_ltd,
-    fixed_band_p,
     forest_transform,
     haar_ltd,
     ltd_trace,
@@ -441,37 +441,83 @@ def test_counts_are_superadditive():
 
 
 def test_fekete_report():
-    rep = fixed_band_p(pad2(), {"x": 2}, ns=(8, 16, 32, 64))
-    assert rep.monotone
-    assert rep.ratios[-1] == max(rep.ratios) == rep.p_lower
-    assert rep.p_lower <= rep.upper_bound
-    assert rep.upper_bound == 4.0
-    assert rep.p_lower == (2 * 2 * 64 - 2 * 3) / 64
+    # a_n / n rises to the exact density: a_n = C n - 6 with C = 2b = 4
+    C = fixed_band_density(pad2(), {"x": 2})
+    assert C == 4
+    for n in (8, 16, 32, 64):
+        assert fixed_band_count(pad2(), {"x": 2}, n) == C * n - 6
+
+
+def test_fixed_band_count_work_guard():
+    with pytest.raises(ValueError, match="work bound"):
+        fixed_band_count(pad2(), {"x": 10**4}, 10**5)
+
+
+@st.composite
+def random_band_graphs(draw):
+    """Connected graphs on at most 5 vertices with bands in {0, 1, 2}."""
+    nv = draw(st.integers(1, 5))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)), max_size=3))
+    edges = []
+    for u, v in pairs:
+        lab = draw(st.sampled_from("xy"))
+        edges.append(Edge(u, v, lab) if draw(st.booleans()) else Edge(v, u, lab))
+    return TestGraph(nv, tuple(edges)), {lab: draw(st.integers(0, 2)) for lab in "xy"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_band_graphs())
+def test_fixed_band_density_is_the_count_increment(case):
+    g, bands = case
+    C = fixed_band_density(g, bands)
+    m = (g.n_vertices - 1) * max(bands.values()) + 1
+    assert C == fixed_band_count(g, bands, m + 1) - fixed_band_count(g, bands, m)
+    assert all(fixed_band_count(g, bands, n) <= C * n for n in range(1, m + 3))
+    window: dict = {}
+    for e in g.edges:
+        if e.src != e.tar:
+            key = frozenset((e.src, e.tar))
+            window[key] = min(window.get(key, bands[e.label]), bands[e.label])
+    bound, queue = 1, [0]
+    for u in queue:
+        for v in range(g.n_vertices):
+            if v not in queue and frozenset((u, v)) in window:
+                queue.append(v)
+                bound *= 2 * window[frozenset((u, v))]
+    assert C <= bound
 
 
 def test_fixed_band_ltd_pad_powers():
-    # 2k parallel edges on two vertices: moment factor (2k-1)!!, denominator
-    # (2b+1)^k, and the Fekete density approaches 2b from below
-    for b, k in ((1, 2), (2, 3)):
+    # 2k parallel edges on two vertices: moment factor (2k-1)!!, density 2b
+    # and norm (2b+1)^k, so the limit is (2k-1)!! 2b / (2b+1)^k
+    for b, k in ((1, 1), (1, 2), (2, 3)):
         g = TestGraph(2, tuple(Edge(0, 1, "x") if i % 2 else Edge(1, 0, "x") for i in range(2 * k)))
-        out = fixed_band_ltd(g, {"x": b}, ns=(64, 128, 256))
+        out = fixed_band_ltd(g, {"x": b})
         assert out.moment_factor == double_factorial_odd(k)
-        assert out.denominator == pytest.approx((2 * b + 1) ** k)
-        p = (2 * b * 256 - b * (b + 1)) / 256
-        assert out.value == pytest.approx(p * double_factorial_odd(k) / (2 * b + 1) ** k)
+        assert out.density == 2 * b
+        assert out.norm_sq == (2 * b + 1) ** (2 * k)
+        assert out.value == Fraction(double_factorial_odd(k) * 2 * b, (2 * b + 1) ** k)
+    assert fixed_band_ltd(pad2(), {"x": 1}).value == Fraction(2, 3)
+
+
+def test_fixed_band_ltd_three_pad_path():
+    path = tree_doubles([(0, 1, "x", False), (1, 2, "y", False), (2, 3, "x", False)])
+    assert fixed_band_density(path, {"x": 2, "y": 2}) == 30
+    assert fixed_band_ltd(path, {"x": 2, "y": 2}).value == Fraction(6, 25)
 
 
 def test_fixed_band_ltd_vanishes_on_odd_classes():
     g = TestGraph(2, (Edge(0, 1, "x"),))
     out = fixed_band_ltd(g, {"x": 3})
-    assert out.value == 0.0 and out.moment_factor == 0 and out.report is None
+    assert out.value == 0 and out.moment_factor == 0 and out.density is None
 
 
 def test_fixed_band_ltd_rademacher():
     g = TestGraph(2, tuple(Edge(0, 1, "x") if i % 2 else Edge(1, 0, "x") for i in range(4)))
-    out = fixed_band_ltd(g, {"x": 1}, entries=EntrySpec.rademacher(), ns=(100,))
+    out = fixed_band_ltd(g, {"x": 1}, entries=EntrySpec.rademacher())
     assert out.moment_factor == 1
-    assert out.value == pytest.approx(((2 * 100 - 2) / 100) / 9)
+    assert out.value == Fraction(2, 9)
 
 
 # ---------------------------------------------------------------------------
