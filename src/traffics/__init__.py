@@ -50,6 +50,7 @@ from .graphs import (
     quotient,
     row_op,
     serialize,
+    shape_sum,
     substitute,
     substitute_graph,
     unit_monomial,
@@ -91,7 +92,6 @@ from .limits import (
     ltd_trace,
     model_ltd,
     norm_factor,
-    ordering_sum_ltd,
     rbm_ltd,
     wigner_ltd,
 )

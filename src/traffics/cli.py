@@ -256,11 +256,10 @@ def _assemble(labels: Sequence[str], res: _Resolver) -> ensembles.MatrixModel:
 def _betas_ltd(
     which: str, betas: dict[str, Any], regimes: dict[str, ensembles.BandProfile]
 ) -> Callable[[graphs.TestGraph], Any]:
-    """The wigner, ordering or rbm evaluator at the given betas and regimes."""
-    if which == "wigner":
+    """The wigner or rbm evaluator at the given betas and regimes; "ordering"
+    is another spelling of "wigner"."""
+    if which in ("wigner", "ordering"):
         return lambda T: limits.wigner_ltd(T, betas)
-    if which == "ordering":
-        return lambda T: limits.ordering_sum_ltd(T, betas)
     if which == "rbm":
         return lambda T: limits.rbm_ltd(T, regimes, betas)
     raise ValueError(f"unknown ltd evaluator {which!r}")
@@ -527,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sp.add_parser("independence", help="audit tau0 factorization on a corpus")
     _add_common(p)
-    p.add_argument("--ltd", help="wigner|ordering|rbm")
+    p.add_argument("--ltd", help="wigner (also spelled ordering; takes complex betas)|rbm")
     p.add_argument("--families", action="append", help="label=family")
     p.add_argument("--beta", action="append", help="label=VALUE")
     p.add_argument("--regime", action="append")

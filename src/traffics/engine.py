@@ -43,7 +43,8 @@ from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .graphs import GraphMonomial, TestGraph, canonical_form, canonical_key, quotient
+# canonical_form and canonical_key stay importable here for perfbench/tracing.py
+from .graphs import GraphMonomial, TestGraph, canonical_form, canonical_key, quotient, shape_sum
 from .partitions import MAX_GROUND, enumerate_partitions, mobius_zero
 
 DEFAULT_MAX_RANK = 4
@@ -335,14 +336,15 @@ def _phi_values(
     return vals
 
 
-def _all_maps(n: int, k: int, limit: int) -> np.ndarray:
+def _all_maps(n: int, k: int) -> np.ndarray:
+    limit = DEFAULT_ENUM_LIMIT
     if n**k > limit:
         raise ValueError(f"enumeration of {n}^{k} maps exceeds the limit {limit}")
     grids = np.meshgrid(*[np.arange(n)] * k, indexing="ij")
     return np.stack([a.ravel() for a in grids], axis=1)
 
 
-def _enumerate(g: TestGraph, ctx: _Bound, rank: int, max_rank: int, enum_limit: int):
+def _enumerate(g: TestGraph, ctx: _Bound, rank: int, max_rank: int):
     """Fallback for a rank overflow: every map and its edge product."""
     k = g.n_vertices
     warnings.warn(
@@ -350,16 +352,12 @@ def _enumerate(g: TestGraph, ctx: _Bound, rank: int, max_rank: int, enum_limit: 
         f"enumerating {ctx.n}^{k} = {ctx.n ** k} maps instead",
         RuntimeWarning, stacklevel=3,
     )
-    phis = _all_maps(ctx.n, k, enum_limit)
+    phis = _all_maps(ctx.n, k)
     return phis, _phi_values(g, ctx.mats, phis, ctx.batch)
 
 
 def eval_graph_matrix(
-    t: GraphMonomial,
-    matrices: Any,
-    *,
-    max_rank: int = DEFAULT_MAX_RANK,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
+    t: GraphMonomial, matrices: Any, *, max_rank: int = DEFAULT_MAX_RANK
 ) -> np.ndarray:
     """Evaluate a graph monomial on bound matrices; result (..., n, n)."""
     g = t.graph
@@ -374,7 +372,7 @@ def eval_graph_matrix(
             return out
         return _contract(g, ctx, (t.v_out, t.v_in), max_rank)
     except _RankOverflow as exc:
-        phis, vals = _enumerate(g, ctx, exc.args[0], max_rank, enum_limit)
+        phis, vals = _enumerate(g, ctx, exc.args[0], max_rank)
     out = np.zeros(batch + (n, n), dtype=vals.dtype)
     flat = out.reshape((-1, n, n))
     vflat = vals.reshape((-1, vals.shape[-1]))
@@ -382,19 +380,13 @@ def eval_graph_matrix(
     return flat.reshape(out.shape)
 
 
-def trace_test_graph(
-    T: TestGraph,
-    matrices: Any,
-    *,
-    max_rank: int = DEFAULT_MAX_RANK,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
-) -> Any:
+def trace_test_graph(T: TestGraph, matrices: Any, *, max_rank: int = DEFAULT_MAX_RANK) -> Any:
     """tr T(A): sum over all vertex maps of the edge-entry product."""
     ctx = _bound(T, matrices)
     try:
         out = _contract(T, ctx, (), max_rank)
     except _RankOverflow as exc:
-        out = _enumerate(T, ctx, exc.args[0], max_rank, enum_limit)[1].sum(axis=-1)
+        out = _enumerate(T, ctx, exc.args[0], max_rank)[1].sum(axis=-1)
     return out if ctx.batch else out[()]
 
 
@@ -403,45 +395,27 @@ def _injective_terms(T: TestGraph) -> tuple[tuple[int, TestGraph], ...]:
     """Mobius-weighted quotients of T, grouped up to isomorphism."""
     if T.n_vertices > MAX_GROUND:
         raise ValueError(f"too many vertices for the partition sum ({T.n_vertices})")
-    agg: dict[tuple, list] = {}
-    for pi in enumerate_partitions(T.n_vertices):
-        q = quotient(T, pi)
-        key = canonical_key(q)
-        slot = agg.get(key)
-        if slot is None:
-            agg[key] = [canonical_form(q), mobius_zero(pi)]
-        else:
-            slot[1] += mobius_zero(pi)
-    return tuple(
-        (w, graph) for graph, w in (agg[k] for k in sorted(agg)) if w != 0
-    )
+    terms = ((quotient(T, pi), mobius_zero(pi)) for pi in enumerate_partitions(T.n_vertices))
+    return tuple((w, graph) for graph, w in shape_sum(terms))
 
 
-def trace_injective(
-    T: TestGraph,
-    matrices: Any,
-    *,
-    max_rank: int = DEFAULT_MAX_RANK,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
-) -> Any:
+def trace_injective(T: TestGraph, matrices: Any) -> Any:
     """tr^0 T(A): the sum restricted to injective maps, via Mobius inversion."""
     ctx = _bound(T, matrices)  # the terms share pendant sums
     total = None
     for w, q in _injective_terms(T):
-        val = trace_test_graph(q, ctx, max_rank=max_rank, enum_limit=enum_limit)
+        val = trace_test_graph(q, ctx)
         total = w * val if total is None else total + w * val
     return total
 
 
-def trace_injective_direct(
-    T: TestGraph, matrices: Any, *, enum_limit: int = DEFAULT_ENUM_LIMIT
-) -> Any:
+def trace_injective_direct(T: TestGraph, matrices: Any) -> Any:
     """Oracle: tr^0 by direct enumeration of injective maps."""
     ctx = _bound(T, matrices)
     n, batch = ctx.n, ctx.batch
     k = T.n_vertices
     count = math.perm(n, k)
-    if count > enum_limit:
+    if count > DEFAULT_ENUM_LIMIT:
         raise ValueError(f"enumeration of {count} injective maps exceeds the limit")
     if count == 0:
         return np.zeros(batch) if batch else 0.0
@@ -450,12 +424,10 @@ def trace_injective_direct(
     return out if batch else out[()]
 
 
-def trace_full_direct(
-    T: TestGraph, matrices: Any, *, enum_limit: int = DEFAULT_ENUM_LIMIT
-) -> Any:
+def trace_full_direct(T: TestGraph, matrices: Any) -> Any:
     """Oracle: tr over all maps by direct enumeration."""
     ctx = _bound(T, matrices)
-    phis = _all_maps(ctx.n, T.n_vertices, enum_limit)
+    phis = _all_maps(ctx.n, T.n_vertices)
     out = _phi_values(T, ctx.mats, phis, ctx.batch).sum(axis=-1)
     return out if ctx.batch else out[()]
 
@@ -527,7 +499,6 @@ def _trace_values(
     seed: int,
     injective: bool,
     threads: Optional[int],
-    max_rank: int,
 ) -> np.ndarray:
     if n < 1 or samples < 1:
         raise ValueError(f"need n >= 1 and samples >= 1, got n={n}, samples={samples}")
@@ -546,7 +517,7 @@ def _trace_values(
         # the Mobius terms share pendant sums through one context per chunk
         ctx = _Bound(labels, stacked)
         trace = trace_injective if injective else trace_test_graph
-        return np.asarray(trace(T, ctx, max_rank=max_rank)) * (scale / n)
+        return np.asarray(trace(T, ctx)) * (scale / n)
 
     return _sample_values(model, labels, n, samples, seed, threads, traces)
 
@@ -569,7 +540,6 @@ def estimate_traffic_state(
     *,
     injective: bool = False,
     threads: Optional[int] = None,
-    max_rank: int = DEFAULT_MAX_RANK,
 ) -> Estimate:
     """Estimate tau[T] = E (1/n) tr T(A) (or tau^0 with ``injective``).
 
@@ -577,7 +547,7 @@ def estimate_traffic_state(
     index draws from its own stream of ``seed``.  Injective estimates carry
     the n^|V| / (n)_|V| count correction (see ``_trace_values``).
     """
-    values = _trace_values(T, model, n, samples, seed, injective, threads, max_rank)
+    values = _trace_values(T, model, n, samples, seed, injective, threads)
     mean, stderr = _mean_stderr(values)
     return Estimate(mean, stderr, samples, n)
 
@@ -592,12 +562,11 @@ def central_moment_estimate(
     *,
     injective: bool = False,
     threads: Optional[int] = None,
-    max_rank: int = DEFAULT_MAX_RANK,
 ) -> Estimate:
     """Two-pass estimate of E |(1/n) tr T - E (1/n) tr T|^order."""
     if order < 2 or order % 2:
         raise ValueError("central moment order must be even and >= 2")
-    values = _trace_values(T, model, n, samples, seed, injective, threads, max_rank)
+    values = _trace_values(T, model, n, samples, seed, injective, threads)
     mean = complex(np.mean(values))
     dev = np.abs(values - mean) ** order
     m, se = _mean_stderr(dev)

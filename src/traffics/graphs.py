@@ -403,17 +403,7 @@ class TrafficPolynomial:
 
     @staticmethod
     def from_terms(items: Iterable[tuple[GraphMonomial, Any]]) -> "TrafficPolynomial":
-        acc: dict[tuple, tuple[GraphMonomial, Any]] = {}
-        for mono, coeff in items:
-            key = canonical_key(mono)
-            if key in acc:
-                old, c0 = acc[key]
-                acc[key] = (old, c0 + coeff)
-            else:
-                acc[key] = (canonical_form(mono), coeff)
-        kept = [(k, mc) for k, mc in acc.items() if mc[1] != 0]
-        kept.sort(key=lambda kv: kv[0])
-        return TrafficPolynomial(tuple(mc for _, mc in kept))
+        return TrafficPolynomial(tuple(shape_sum(items)))
 
     @staticmethod
     def wrap(x: Any) -> "TrafficPolynomial":
@@ -638,6 +628,24 @@ def canonical_form(obj: GraphLike, max_vertices: int = _CANON_CAP) -> GraphLike:
     if tag == "gm":
         return GraphMonomial(ng, roots[0], roots[1])
     return NGraphMonomial(ng, roots)
+
+
+def shape_sum(items: Iterable[tuple[GraphLike, Any]]) -> list[tuple[GraphLike, Any]]:
+    """Weighted graphs reduced to isomorphism classes.
+
+    One ``(canonical form, summed weight)`` pair per class, in
+    ``canonical_key`` order; classes whose weights sum to zero are dropped.
+    The form is built from the first member of each class only.
+    """
+    acc: dict[tuple, list] = {}
+    for g, w in items:
+        key = canonical_key(g)
+        slot = acc.get(key)
+        if slot is None:
+            acc[key] = [canonical_form(g), w]
+        else:
+            slot[1] = slot[1] + w
+    return [(form, w) for form, w in (acc[k] for k in sorted(acc)) if w != 0]
 
 
 # ---------------------------------------------------------------------------

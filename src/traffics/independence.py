@@ -23,6 +23,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 
+# canonical_form and canonical_key stay importable here for perfbench/tracing.py
 from .graphs import (
     Edge,
     TestGraph,
@@ -30,6 +31,7 @@ from .graphs import (
     canonical_form,
     canonical_key,
     serialize,
+    shape_sum,
 )
 
 Number = Union[int, float, Fraction, complex]
@@ -286,21 +288,16 @@ def build_double_tree_corpus(
     the standard non-free-product graphs."""
     if not 1 <= max_pads <= 4:
         raise ValueError("pad budget must be between 1 and 4")
-    seen: dict[tuple, TestGraph] = {}
 
-    def add(g: TestGraph) -> None:
-        key = canonical_key(g)
-        if key not in seen:
-            seen[key] = canonical_form(g)
+    def candidates() -> Iterator[TestGraph]:
+        for k in range(1, max_pads + 1):
+            for parents in product(*(range(i) for i in range(1, k + 1))):
+                tree = [(parents[i - 1], i) for i in range(1, k + 1)]
+                for pattern in product(product(labels, _PAD_KINDS), repeat=k):
+                    yield double_tree(tree, pattern)
+        yield from witness_graphs(labels).values()
 
-    for k in range(1, max_pads + 1):
-        for parents in product(*(range(i) for i in range(1, k + 1))):
-            tree = [(parents[i - 1], i) for i in range(1, k + 1)]
-            for pattern in product(product(labels, _PAD_KINDS), repeat=k):
-                add(double_tree(tree, pattern))
-    for g in witness_graphs(labels).values():
-        add(g)
-    return tuple(seen[k] for k in sorted(seen))
+    return tuple(form for form, _ in shape_sum((g, 1) for g in candidates()))
 
 
 def witness_graphs(labels: Sequence[str] = ("x", "y")) -> dict[str, TestGraph]:

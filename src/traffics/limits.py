@@ -7,7 +7,9 @@ dimension grows:
   limits on *colored double trees*: loop-free graphs whose edge classes each
   hold exactly two same-labelled edges and whose skeleton is a tree.  A class
   is *opposing* when its edges point in opposite directions and *congruent*
-  otherwise; congruent classes pick up the pseudo-variance beta of the label.
+  otherwise; congruent classes pick up the pseudo-variance beta of the label
+  (``wigner_ltd``).  A non-real beta is averaged against its conjugate over
+  the random relative order of the class's endpoints.
 * Band regimes refine the picture: slowly growing bands contract, full-width
   bands delete, proportional bands keep their classes, and the surviving
   forest is scored by an exact cut-probability integral p_T.
@@ -18,8 +20,10 @@ dimension grows:
 * Haar orthogonal families live on anti-directed cacti and produce signed
   Catalan numbers.
 
-Cut integrals, closed forms and Mobius weights are exact (Fractions
-throughout); Monte Carlo enters only in the test suite.
+``ltd_trace`` turns any of these injective limits into the limit of tau[T]
+by summing it over the quotients of T, once per isomorphism class
+(``graphs.shape_sum``).  Cut integrals, closed forms and Mobius weights are
+exact (Fractions throughout); Monte Carlo enters only in the test suite.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from itertools import permutations
 from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
 from .ensembles import BandProfile, EntrySpec, MatrixModel, _double_factorial_odd
-from .graphs import Edge, TestGraph, _collapse, _UnionFind, edge_classes
+from .graphs import Edge, TestGraph, _collapse, _UnionFind, edge_classes, quotient, shape_sum
 
 Number = Union[int, float, Fraction, complex]
 
@@ -89,13 +93,6 @@ class DoubleTreeReport:
     pads: tuple[Pad, ...] = ()
     reason: Optional[str] = None
 
-    def congruent_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for p in self.pads:
-            if p.orientation == "congruent":
-                out[p.label] = out.get(p.label, 0) + 1
-        return out
-
 
 def classify_double_tree(T: TestGraph) -> DoubleTreeReport:
     """Decide whether T is a colored double tree, with a reason when not.
@@ -132,44 +129,37 @@ def classify_double_tree(T: TestGraph) -> DoubleTreeReport:
 
 
 def wigner_ltd(T: TestGraph, betas: Any = None) -> Number:
-    """Limit of tau^0[T] for a Wigner family: prod over labels of
-    beta_i^(congruent pad count) on colored double trees, zero otherwise.
+    """Limit of tau^0[T] for a Wigner family: zero off colored double trees,
+    otherwise the product of the pad weights.
 
-    Non-real betas are routed to :func:`ordering_sum_ltd`.
+    An opposing pad weighs 1.  A congruent pad of a label with real
+    pseudo-variance beta weighs beta, so real betas give prod over labels of
+    beta_i^(congruent pad count).  A congruent pad of a label with non-real
+    beta weighs beta or conj(beta) according to the relative order of its
+    endpoints under a uniformly random total order of the vertices; the
+    average factorizes over the connected components of the subgraph of
+    non-real-labelled pads, each averaged exactly over its |V|! orders.
     """
     rep = classify_double_tree(T)
     if not rep.is_double_tree:
         return 0
-    if any(not _is_real(_beta_of(betas, lab)) for lab in T.labels()):
-        return ordering_sum_ltd(T, betas)
-    out: Number = 1
-    for lab, cnt in rep.congruent_counts().items():
-        out = out * _beta_of(betas, lab) ** cnt
-    return out
+    return _pad_weight(T, rep, betas)
 
 
-def ordering_sum_ltd(T: TestGraph, betas: Any = None) -> Number:
-    """Wigner limit for possibly non-real pseudo-variances.
-
-    Congruent pads weight beta or conj(beta) according to the relative order
-    of their endpoints under a uniformly random total order of the vertices;
-    the average factorizes over the connected components of the subgraph of
-    complex-labelled pads, each averaged exactly over its |V|! orders.
-    """
-    rep = classify_double_tree(T)
-    if not rep.is_double_tree:
-        return 0
-    base: Number = 1
+def _pad_weight(T: TestGraph, rep: DoubleTreeReport, betas: Any) -> Number:
+    """The pad weights of :func:`wigner_ltd` on the double tree T."""
+    counts: dict[str, int] = {}
     complex_pads = []
     for pad in rep.pads:
-        beta = _beta_of(betas, pad.label)
-        if _is_real(beta):
-            if pad.orientation == "congruent":
-                base = base * beta
-        else:
+        if not _is_real(_beta_of(betas, pad.label)):
             complex_pads.append(pad)
+        elif pad.orientation == "congruent":
+            counts[pad.label] = counts.get(pad.label, 0) + 1
+    total: Number = 1
+    for lab, cnt in counts.items():
+        total = total * _beta_of(betas, lab) ** cnt
     if not complex_pads:
-        return base
+        return total
     # components of the complex-labelled subgraph
     uf = _UnionFind(T.n_vertices)
     for p in complex_pads:
@@ -177,7 +167,6 @@ def ordering_sum_ltd(T: TestGraph, betas: Any = None) -> Number:
     groups: dict[int, list] = {}
     for p in complex_pads:
         groups.setdefault(uf.find(p.u), []).append(p)
-    total: Number = base
     for pads in groups.values():
         cverts = sorted({v for p in pads for v in (p.u, p.v)})
         if len(cverts) > ORDERING_COMPONENT_CAP:
@@ -480,9 +469,10 @@ def cut_probability(T: TestGraph, proportions: Any) -> Fraction:
 def rbm_ltd(T: TestGraph, regimes: RegimeAssignment, betas: Any = None) -> Number:
     """Limit of tau^0[T] for independent band families.
 
-    Zero off double trees; otherwise prod beta_i^(congruent count) times the
-    cut probability p_F of the forest transform.  Betas must be real here
-    (non-real pseudo-variances are a Wigner-regime refinement only).
+    Zero off double trees; otherwise the Wigner pad weight prod
+    beta_i^(congruent count) times the cut probability p_F of the forest
+    transform.  Betas must be real here (non-real pseudo-variances are a
+    Wigner-regime refinement only).
     """
     rep = classify_double_tree(T)
     if not rep.is_double_tree:
@@ -490,9 +480,7 @@ def rbm_ltd(T: TestGraph, regimes: RegimeAssignment, betas: Any = None) -> Numbe
     for lab in T.labels():
         if not _is_real(_beta_of(betas, lab)):
             raise ValueError("rbm_ltd needs real betas")
-    out: Number = 1
-    for lab, cnt in rep.congruent_counts().items():
-        out = out * _beta_of(betas, lab) ** cnt
+    out = _pad_weight(T, rep, betas)
     for comp in forest_transform(T, regimes):
         if comp.n_edges == 0:
             continue
@@ -950,8 +938,6 @@ def ltd_trace(
     supported elsewhere (the orthogonal one lives on cacti) needs
     ``support="all"``, the full partition lattice.
     """
-    from .graphs import canonical_form, canonical_key, quotient
-
     if support == "double_tree":
         quotients = (q for _, q in double_tree_quotients(T))
     elif support == "all":
@@ -962,17 +948,8 @@ def ltd_trace(
         )
     else:
         raise ValueError(f"unknown support {support!r}")
-    shapes: dict[tuple, list] = {}
-    for q in quotients:
-        key = canonical_key(q)
-        slot = shapes.get(key)
-        if slot is None:
-            shapes[key] = [canonical_form(q), 1]
-        else:
-            slot[1] += 1
     total: Number = 0
-    for key in sorted(shapes):
-        form, count = shapes[key]
+    for form, count in shape_sum((q, 1) for q in quotients):
         total = total + count * ltd_fn(form)
     return total
 
@@ -984,9 +961,10 @@ def model_ltd(model: MatrixModel) -> Callable[[TestGraph], Number]:
     """The injective-limit evaluator of a matrix model.
 
     An all-Haar model gives :func:`haar_ltd`; an all-fixed-band model gives
-    the value of :func:`fixed_band_ltd` (exact wherever it is rational); any
-    other model gives :func:`rbm_ltd` with the pseudo-variances of its entry
-    laws.
+    the value of :func:`fixed_band_ltd` (exact wherever it is rational); an
+    all-Wigner model gives :func:`wigner_ltd`, which takes non-real
+    pseudo-variances too; any other model gives :func:`rbm_ltd`.  Both take
+    the pseudo-variances of the model's entry laws.
     """
     profiles, entries = model.profiles(), model.entries()
     kinds = {profiles[lab].regime if lab in profiles else "haar" for lab in model.labels}
@@ -996,6 +974,8 @@ def model_ltd(model: MatrixModel) -> Callable[[TestGraph], Number]:
         bands = {lab: p.b for lab, p in profiles.items()}
         return lambda T: fixed_band_ltd(T, bands, entries).value
     betas = {lab: e.beta for lab, e in entries.items()}
+    if kinds == {"wigner"}:
+        return lambda T: wigner_ltd(T, betas)
     return lambda T: rbm_ltd(T, profiles, betas)
 
 

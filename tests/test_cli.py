@@ -110,6 +110,26 @@ def test_ltd_complex_entry(capsys):
     assert "ltd = 1/2 ≈ 0.500000" in out
 
 
+CPAD = "e 0 1 x; e 0 1 x"
+
+
+def test_ltd_complex_beta_under_wigner(capsys):
+    code, out, err = run(capsys, "ltd", "--graph", CPAD, "--entry", "x=gaussian:0.5+0.5i")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "ltd = 0.500000+0.000000i"
+
+
+def test_estimate_complex_beta_under_wigner(capsys):
+    code, out, err = run(
+        capsys, "estimate", "--graph", CPAD, "--entry", "x=gaussian:0.5+0.5i",
+        "--n", "200", "--samples", "200", "--seed", "1", "--injective",
+    )
+    assert code == 0 and err == ""
+    row = out.splitlines()[1].split(",")
+    assert float(row[5]) == 0.5 and float(row[6]) == 0
+    assert float(row[7]) < 3
+
+
 def test_estimate_csv_schema(capsys):
     code, out, _ = run(
         capsys, "estimate", "--graph", PAD, "--n", "20,40", "--samples", "25",

@@ -26,6 +26,7 @@ from traffics.graphs import (
     quotient,
     row_op,
     serialize,
+    shape_sum,
     substitute_graph,
     unit_monomial,
 )
@@ -312,6 +313,25 @@ def test_canonical_form_is_idempotent(g):
     form = canonical_form(g)
     assert canonical_form(form) == form
     assert canonical_key(form) == canonical_key(g)
+
+
+@given(
+    st.lists(st.tuples(connected_graphs(max_vertices=3, max_extra=1), st.integers(-2, 2)),
+             max_size=12),
+    st.randoms(use_true_random=False),
+)
+def test_shape_sum_is_the_naive_grouping(items, rnd):
+    # relabelled copies put several members in one class
+    items = items + [(relabel(g, list(range(g.n_vertices))[::-1]), -w) for g, w in items[::2]]
+    forms, sums = {}, {}
+    for g, w in items:
+        key = canonical_key(g)
+        forms[key] = canonical_form(g)
+        sums[key] = sums.get(key, 0) + w
+    want = [(forms[k], sums[k]) for k in sorted(sums) if sums[k] != 0]
+    assert shape_sum(items) == want
+    rnd.shuffle(items)
+    assert shape_sum(items) == want
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from traffics.limits import (
     ltd_trace,
     model_ltd,
     norm_factor,
-    ordering_sum_ltd,
     rbm_ltd,
     regime_role,
     wigner_ltd,
@@ -180,7 +179,7 @@ def brute_ordering_value(g, betas):
 @settings(max_examples=25, deadline=None)
 @given(random_double_trees(max_pads=4), st.sampled_from([1j, 0.5 + 0.5j, 0.3 - 0.9j]))
 def test_ordering_sum_matches_global_enumeration(g, beta):
-    got = complex(ordering_sum_ltd(g, beta))
+    got = complex(wigner_ltd(g, beta))
     want = brute_ordering_value(g, beta)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -188,7 +187,17 @@ def test_ordering_sum_matches_global_enumeration(g, beta):
 def test_ordering_component_cap():
     chain = tree_doubles([(i, i + 1, "x", True) for i in range(11)])
     with pytest.raises(ValueError):
-        ordering_sum_ltd(chain, 1j)
+        wigner_ltd(chain, 1j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_double_trees(max_pads=4), st.sampled_from([1, 0, Fraction(1, 2), -1, 0.3]),
+       st.sampled_from([1, Fraction(-2, 3), 0.7]))
+def test_rbm_under_wigner_regimes_is_wigner_ltd(g, bx, by):
+    betas = {"x": bx, "y": by}
+    wigner = {lab: BandProfile("wigner") for lab in "xy"}
+    got, want = rbm_ltd(g, wigner, betas), wigner_ltd(g, betas)
+    assert got == want and type(got) is type(want)
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +672,10 @@ def test_model_ltd_resolves_each_kind():
     assert model_ltd(MatrixModel(prop))(star) == rbm_ltd(star, prop) == Fraction(28, 27)
     rbm = model_ltd(MatrixModel({"x": (BandProfile.parse("wigner"), EntrySpec.gaussian(half))}))
     assert rbm(congruent) == half
+    # an all-Wigner model takes complex pseudo-variances; one congruent pad gives Re(beta)
+    beta = complex(half, half)
+    wig = model_ltd(MatrixModel({"x": (BandProfile.parse("wigner"), EntrySpec.gaussian(beta))}))
+    assert wig(congruent) == wigner_ltd(congruent, beta) == pytest.approx(half)
     # a fixed label beside a band label is not an all-fixed model
     mixed = MatrixModel({"x": BandProfile.parse("fixed:1"), "y": BandProfile.parse("wigner")})
     with pytest.raises(ValueError, match="fixed-band oracle"):
