@@ -9,8 +9,12 @@ Subcommands:
 * ``moments``        exact moment table of a graph polynomial
 * ``selftest``       fast oracle-equivalence suites
 
-Flag values override config-file entries (``key = value`` lines), which
-override defaults; the thread count falls back to ``TRAFFICS_THREADS``.
+Every subcommand but ``selftest`` builds one matrix model from its label
+flags and takes its exact evaluator from ``limits.model_ltd``.
+
+Flag values override config-file entries (``key = value`` lines, each naming
+a flag of the subcommand), which override defaults; the thread count falls
+back to ``TRAFFICS_THREADS``.
 CSV output is fixed to the schema
 ``n,samples,mean_re,mean_im,stderr,theory_re,theory_im,z`` with %.12g
 floats, and identical flags plus seed give byte-identical output at any
@@ -25,7 +29,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from . import engine, ensembles, graphs, independence, limits, moments
 
@@ -37,7 +41,7 @@ CSV_HEADER = "n,samples,mean_re,mean_im,stderr,theory_re,theory_im,z"
 # ---------------------------------------------------------------------------
 # flag plumbing
 
-def _parse_config(path: Optional[str]) -> dict[str, str]:
+def _parse_config(path: Optional[str], keys: set[str]) -> dict[str, str]:
     if not path:
         return {}
     out: dict[str, str] = {}
@@ -49,7 +53,10 @@ def _parse_config(path: Optional[str]) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, val = line.partition("=")
-            out[key.strip().replace("-", "_")] = val.strip()
+            name = key.strip().replace("-", "_")
+            if name not in keys:
+                raise ValueError(f"{path}:{lineno}: unknown key {key.strip()!r}")
+            out[name] = val.strip()
     return out
 
 
@@ -97,11 +104,7 @@ class _Resolver:
     def pairs(self, name: str) -> dict[str, str]:
         """Collect repeatable LABEL=VALUE flags (commas also separate)."""
         v = self.raw(name, [])
-        chunks: list[str] = []
-        if isinstance(v, str):
-            chunks = [v]
-        else:
-            chunks = list(v)
+        chunks = [v] if isinstance(v, str) else list(v)
         out: dict[str, str] = {}
         for chunk in chunks:
             for part in chunk.split(","):
@@ -131,6 +134,8 @@ def _parse_entry(text: str) -> ensembles.EntrySpec:
         # keep rational betas exact so limits render as fractions
         return ensembles.EntrySpec.gaussian(_parse_beta(arg) if arg else 1)
     if head == "rademacher":
+        if arg:
+            raise ValueError(f"rademacher takes no parameter, got {text!r}")
         return ensembles.EntrySpec.rademacher()
     raise ValueError(f"unknown entry law {text!r}")
 
@@ -178,28 +183,15 @@ def _write_out(text: str, out: Optional[str]) -> None:
 def _csv(rows: Sequence[tuple]) -> str:
     lines = [CSV_HEADER]
     for n, samples, mean, stderr, theory, z in rows:
-        mean = complex(mean)
-        theory = complex(theory)
-        lines.append(
-            ",".join(
-                (
-                    str(n),
-                    str(samples),
-                    _fmt(mean.real),
-                    _fmt(mean.imag),
-                    _fmt(stderr),
-                    _fmt(theory.real),
-                    _fmt(theory.imag),
-                    _fmt(z),
-                )
-            )
-        )
+        mean, theory = complex(mean), complex(theory)
+        floats = (mean.real, mean.imag, stderr, theory.real, theory.imag, z)
+        lines.append(",".join([str(n), str(samples)] + [_fmt(f) for f in floats]))
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# model assembly shared by ltd/estimate/concentration and the evaluators of
-# independence/moments
+# model assembly: every subcommand that evaluates or samples builds its
+# model here and takes its evaluator from limits.model_ltd
 
 def _label_pairs(
     res: _Resolver, name: str, labels: Sequence[str], every: bool = False
@@ -216,18 +208,11 @@ def _label_pairs(
     return flags
 
 
-def _regimes(flags: dict[str, str]) -> dict[str, ensembles.BandProfile]:
-    return {lab: ensembles.BandProfile.parse(spec) for lab, spec in flags.items()}
-
-
-def _betas(res: _Resolver, labels: Sequence[str]) -> dict[str, Any]:
-    return {lab: _parse_beta(v) for lab, v in _label_pairs(res, "beta", labels).items()}
-
-
 def _assemble(labels: Sequence[str], res: _Resolver) -> ensembles.MatrixModel:
-    """The matrix model of --ensemble, --regime, --band and --entry over
-    ``labels``; ``--band LABEL=B`` spells ``--regime LABEL=fixed:B`` and
-    needs a width for every label."""
+    """The matrix model of --ensemble, --regime, --band, --entry and --beta
+    over ``labels``; ``--band LABEL=B`` spells ``--regime LABEL=fixed:B`` and
+    needs a width for every label, and ``--beta LABEL=B`` spells a Gaussian
+    entry law with pseudo-variance B."""
     ensemble = res.str_("ensemble", "wigner")
     if ensemble == "haar":
         if res.pairs("regime") or res.pairs("entry") or res.pairs("band"):
@@ -241,28 +226,18 @@ def _assemble(labels: Sequence[str], res: _Resolver) -> ensembles.MatrixModel:
         if both:
             raise ValueError(f"--band and --regime both set labels: {', '.join(both)}")
         regime_flags.update({lab: f"fixed:{b}" for lab, b in bands.items()})
-    profiles = _regimes(regime_flags)
-    entry_flags = _label_pairs(res, "entry", labels)
+    entries = {lab: _parse_entry(v) for lab, v in _label_pairs(res, "entry", labels).items()}
+    entries.update({
+        lab: ensembles.EntrySpec.gaussian(_parse_beta(v))
+        for lab, v in _label_pairs(res, "beta", labels).items()
+    })
     return ensembles.MatrixModel({
         lab: (
-            profiles.get(lab, base),
-            _parse_entry(entry_flags[lab]) if lab in entry_flags
-            else ensembles.EntrySpec.gaussian(),
+            ensembles.BandProfile.parse(regime_flags[lab]) if lab in regime_flags else base,
+            entries.get(lab, ensembles.EntrySpec.gaussian()),
         )
         for lab in labels
     })
-
-
-def _betas_ltd(
-    which: str, betas: dict[str, Any], regimes: dict[str, ensembles.BandProfile]
-) -> Callable[[graphs.TestGraph], Any]:
-    """The wigner or rbm evaluator at the given betas and regimes; "ordering"
-    is another spelling of "wigner"."""
-    if which in ("wigner", "ordering"):
-        return lambda T: limits.wigner_ltd(T, betas)
-    if which == "rbm":
-        return lambda T: limits.rbm_ltd(T, regimes, betas)
-    raise ValueError(f"unknown ltd evaluator {which!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +346,7 @@ def _cmd_independence(res: _Resolver) -> int:
     max_pads = res.int_("max_pads", 3)
     corpus = independence.build_double_tree_corpus(max_pads, labels)
     fams = _label_pairs(res, "families", labels) or None
-    regimes = _regimes(_label_pairs(res, "regime", labels))
-    ltd = _betas_ltd(res.str_("ltd", "wigner"), _betas(res, labels), regimes)
+    ltd = limits.model_ltd(_assemble(labels, res))
     report = independence.verify_traffic_independence(ltd, fams, corpus)
     _write_out(report.to_json() + "\n", res.str_("out"))
     return 0
@@ -387,8 +361,9 @@ def _cmd_moments(res: _Resolver) -> int:
     if order < 1:
         raise ValueError(f"moment order must be >= 1, got {order}")
     labels = {lab for mono, _ in poly.terms for lab in mono.graph.labels()}
-    regimes = _regimes(_label_pairs(res, "regime", labels))
-    ltd = _betas_ltd("rbm" if regimes else "wigner", _betas(res, labels), regimes)
+    model = _assemble(labels, res)
+    moments.require_moment_support(model)
+    ltd = limits.model_ltd(model)
     lines = ["order value"]
     for k in range(1, order + 1):
         value = moments.traffic_moment(poly, k, ltd)
@@ -524,21 +499,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", help="even central moment order (2 = variance)")
     p.add_argument("--injective", action="store_const", const=True, default=None)
 
-    p = sp.add_parser("independence", help="audit tau0 factorization on a corpus")
+    p = sp.add_parser("independence", help="audit tau0 factorization on a corpus "
+                      "under the limit of the labels' regimes (default wigner)")
     _add_common(p)
-    p.add_argument("--ltd", help="wigner (also spelled ordering; takes complex betas)|rbm")
     p.add_argument("--families", action="append", help="label=family")
-    p.add_argument("--beta", action="append", help="label=VALUE")
-    p.add_argument("--regime", action="append")
+    p.add_argument("--beta", action="append",
+                   help="label=VALUE, Gaussian pseudo-variance (complex under wigner)")
+    p.add_argument("--regime", action="append", help="label=REGIME[:PARAM]")
     p.add_argument("--labels", help="corpus labels (default x,y)")
     p.add_argument("--max-pads", dest="max_pads", help="corpus pad budget")
 
-    p = sp.add_parser("moments", help="exact moment table of a polynomial")
+    p = sp.add_parser("moments", help="exact moment table of a polynomial "
+                      "(band regimes other than fixed)")
     _add_common(p)
     p.add_argument("--poly", help='e.g. "1*x - 1*row(x)"')
     p.add_argument("--order")
-    p.add_argument("--beta", action="append")
-    p.add_argument("--regime", action="append")
+    p.add_argument("--beta", action="append", help="label=VALUE, as for independence")
+    p.add_argument("--regime", action="append", help="label=REGIME[:PARAM]")
 
     p = sp.add_parser("selftest", help="fast oracle-equivalence suites")
     _add_common(p)
@@ -558,7 +535,8 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _parse_config(getattr(args, "config", None))
+        flags = set(vars(args)) - {"command", "config"}
+        cfg = _parse_config(args.config, flags)
         res = _Resolver(args, cfg)
         return _COMMANDS[args.command](res)
     except (ValueError, OSError) as exc:  # user errors; anything else is a bug

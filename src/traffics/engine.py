@@ -502,6 +502,8 @@ def _trace_values(
 ) -> np.ndarray:
     if n < 1 or samples < 1:
         raise ValueError(f"need n >= 1 and samples >= 1, got n={n}, samples={samples}")
+    if threads is not None and threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
     labels = T.labels()
     # Normalizing tr^0 by the injective-map count instead of n removes the
     # O(1/n) falling-factorial bias, so means are centered on the limit.

@@ -111,6 +111,8 @@ class EntrySpec:
 
     def __post_init__(self):
         b = complex(self.beta)
+        if not (math.isfinite(b.real) and math.isfinite(b.imag)):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         if abs(b) > 1 + 1e-12:
             raise ValueError(f"|beta| must be <= 1, got {abs(b)}")
 

@@ -475,16 +475,15 @@ def freeness_moment_test(
     """
     from .engine import Estimate, _mean_stderr, _sample_values
     from .ensembles import MatrixModel
-    from .limits import model_ltd, model_support
+    from .limits import model_ltd
     from .moments import eval_polynomial_matrix, mixed_moment_ltd, traffic_moment
+    from .moments import require_moment_support
 
     import numpy as np
 
     word = tuple(word)
     mm = MatrixModel(model)
-    if model_support(mm) != "double_tree":
-        raise ValueError("moment sums scan double-tree quotients only, so every label "
-                         "needs a band regime other than fixed")
+    require_moment_support(mm)
     ltd = model_ltd(mm)
 
     counts: dict[str, int] = {}

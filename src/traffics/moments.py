@@ -41,7 +41,7 @@ from .graphs import (
     substitute_graph,
     unit_monomial,
 )
-from .limits import catalan, ltd_trace, wigner_ltd
+from .limits import catalan, ltd_trace, model_support, wigner_ltd
 
 Number = Union[int, float, Fraction, complex]
 
@@ -158,6 +158,13 @@ def traffic_moment(
     if m == 0:
         return ltd_trace(TestGraph(1), ltd)
     return _cyclic_word_ltd([poly] * m, ltd)
+
+
+def require_moment_support(model: Any) -> None:
+    """Refuse a matrix model whose limit the double-tree scans here miss."""
+    if model_support(model) != "double_tree":
+        raise ValueError("moment sums scan double-tree quotients only, so every label "
+                         "needs a band regime other than fixed")
 
 
 def word_trace_terms(

@@ -6,8 +6,10 @@ import pytest
 
 from traffics import cli
 from traffics.cli import CSV_HEADER, main
-from traffics.limits import wigner_ltd
-from traffics.moments import parse_poly, traffic_moment
+from traffics.ensembles import BandProfile, MatrixModel
+from traffics.independence import build_double_tree_corpus, verify_traffic_independence
+from traffics.limits import fixed_band_ltd, rbm_ltd, wigner_ltd
+from traffics.moments import parse_poly, require_moment_support, traffic_moment
 
 STAR = "n 3\ne 0 1 x\ne 1 0 x\ne 0 2 x\ne 2 0 x\n"
 PAD = "e 0 1 x; e 1 0 x"
@@ -246,7 +248,7 @@ def test_independence_audit_passes_for_wigner(capsys):
 
 def test_independence_audit_flags_proportional_bands(capsys):
     code, out, _ = run(
-        capsys, "independence", "--ltd", "rbm", "--max-pads", "2",
+        capsys, "independence", "--max-pads", "2",
         "--regime", "x=proportional:1/4,y=proportional:1/2",
     )
     assert code == 0
@@ -254,13 +256,61 @@ def test_independence_audit_flags_proportional_bands(capsys):
     assert data["violations"] > 0
 
 
+def test_independence_regimes_choose_the_band_evaluator(capsys):
+    # the regimes alone pick rbm_ltd; no flag can swap in the Wigner limit
+    code, out, err = run(
+        capsys, "independence", "--max-pads", "2",
+        "--regime", "x=proportional:1/4,y=proportional:1/2",
+    )
+    assert code == 0 and err == ""
+    regimes = {"x": BandProfile.parse("proportional:1/4"),
+               "y": BandProfile.parse("proportional:1/2")}
+    report = verify_traffic_independence(
+        lambda T: rbm_ltd(T, regimes), None, build_double_tree_corpus(2, ("x", "y"))
+    )
+    assert out == report.to_json() + "\n"
+    assert json.loads(out)["violations"] == 13
+
+
 def test_independence_complex_beta(capsys):
     code, out, _ = run(
-        capsys, "independence", "--ltd", "ordering", "--max-pads", "2",
+        capsys, "independence", "--max-pads", "2",
         "--beta", "x=1i,y=1i",
     )
     assert code == 0
     assert json.loads(out)["violations"] > 0
+
+
+def test_partial_regimes_default_to_wigner(capsys):
+    code, out, err = run(
+        capsys, "moments", "--poly", "x + y", "--order", "4", "--regime", "x=proportional:1/2"
+    )
+    assert code == 0 and err == ""
+    regimes = {"x": BandProfile.parse("proportional:1/2"), "y": BandProfile.parse("wigner")}
+    want = [traffic_moment(parse_poly("x + y"), k, lambda T: rbm_ltd(T, regimes))
+            for k in range(1, 5)]
+    assert out.splitlines()[1:] == [f"{k} {v}" for k, v in enumerate(want, 1)]
+
+
+def test_independence_audits_fixed_bands(capsys):
+    code, out, _ = run(capsys, "independence", "--max-pads", "1", "--regime", "x=fixed:1,y=fixed:2")
+    assert code == 0
+    corpus = build_double_tree_corpus(1, ("x", "y"))
+    report = verify_traffic_independence(
+        lambda T: fixed_band_ltd(T, {"x": 1, "y": 2}).value, None, corpus
+    )
+    assert out == report.to_json() + "\n"
+    # the fixed-band value, not the Wigner one, is audited
+    wigner = verify_traffic_independence(wigner_ltd, None, corpus)
+    assert report.records != wigner.records
+
+
+def test_moments_refuse_fixed_bands_with_the_shared_guard(capsys):
+    code, out, err = run(capsys, "moments", "--poly", "x", "--order", "2", "--regime", "x=fixed:1")
+    assert code == 2 and out == ""
+    with pytest.raises(ValueError) as exc:
+        require_moment_support(MatrixModel({"x": BandProfile.parse("fixed:1")}))
+    assert json.loads(err)["message"] == str(exc.value)
 
 
 def test_moments_table(capsys):
@@ -314,12 +364,31 @@ def test_config_file_precedence(tmp_path, capsys):
     assert out.splitlines()[1].split(",")[1] == "5"
 
 
+def test_thread_env_below_one_is_refused(monkeypatch, capsys):
+    monkeypatch.setenv("TRAFFICS_THREADS", "0")
+    code, out, err = run(capsys, "estimate", "--graph", PAD, "--n", "5", "--samples", "2")
+    assert code == 2 and out == ""
+    assert "threads >= 1" in json.loads(err)["message"]
+
+
 def test_bad_config_line_is_reported(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("samples 7\n")
     code, out, err = run(capsys, "estimate", "--graph", PAD, "--config", str(cfg))
     assert code == 2
     assert "expected key = value" in json.loads(err)["message"]
+
+
+def test_unknown_config_key_is_reported(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("n = 20\nsampels = 7\n")
+    code, out, err = run(capsys, "estimate", "--graph", PAD, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "2: unknown key 'sampels'" in json.loads(err)["message"]
+    # a flag of another subcommand is no key of this one
+    cfg.write_text("max-pads = 2\n")
+    code, _, err = run(capsys, "estimate", "--graph", PAD, "--config", str(cfg))
+    assert code == 2 and "'max-pads'" in json.loads(err)["message"]
 
 
 def test_errors_are_machine_readable(capsys):
@@ -367,6 +436,16 @@ def test_program_bugs_are_not_user_errors(monkeypatch, capsys):
     ("independence", "--max-pads", "1", "--beta", "z=2"),
     ("independence", "--max-pads", "1", "--families", "x=a,y=b,z=c"),
     ("ltd", "--graph", PAD, "--band", "x=1", "--regime", "x=wigner"),
+    ("moments", "--poly", "x", "--order", "2", "--beta", "x=2"),
+    ("moments", "--poly", "x", "--order", "2", "--beta", "x=nan"),
+    ("independence", "--max-pads", "1", "--beta", "x=2"),
+    ("independence", "--max-pads", "1", "--beta", "x=nan"),
+    ("ltd", "--graph", "e 0 1 x; e 0 1 x", "--entry", "x=gaussian:nan"),
+    ("estimate", "--graph", PAD, "--n", "5", "--samples", "2", "--entry", "x=gaussian:nan"),
+    ("ltd", "--graph", PAD, "--entry", "x=rademacher:2"),
+    ("estimate", "--graph", PAD, "--n", "5", "--samples", "2", "--threads", "0"),
+    ("concentration", "--graph", PAD, "--n", "5", "--samples", "2", "--threads", "-4"),
+    ("moments", "--poly", "x", "--order", "2", "--regime", "x=fixed:1"),
 ])
 def test_bad_numbers_are_user_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -338,6 +338,13 @@ def test_central_moment_validates_order():
         central_moment_estimate(T, _wigner_model(), 10, 10, order=3, seed=0)
 
 
+@pytest.mark.parametrize("threads", [0, -4])
+def test_thread_count_below_one_is_refused(threads):
+    T = TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "x")))
+    with pytest.raises(ValueError, match="threads >= 1"):
+        estimate_traffic_state(T, _wigner_model(), 10, 4, seed=0, threads=threads)
+
+
 def test_central_moment_mean_is_complex():
     T = TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "x")))
     est = central_moment_estimate(T, _wigner_model(), 20, 30, order=2, seed=4)

@@ -53,6 +53,12 @@ def test_beta_bound():
         EntrySpec.gaussian(beta=2.0)
 
 
+@pytest.mark.parametrize("beta", [float("nan"), complex(0, float("nan")), float("inf")])
+def test_beta_must_be_finite(beta):
+    with pytest.raises(ValueError, match="finite"):
+        EntrySpec.gaussian(beta=beta)
+
+
 def test_complex_beta_allowed():
     s = EntrySpec.gaussian(beta=0.5j)
     assert not s.is_real
