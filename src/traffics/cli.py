@@ -454,8 +454,12 @@ def _cmd_selftest(res: _Resolver) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key = value defaults file")
-    sub.add_argument("--threads", help="sampling threads (or TRAFFICS_THREADS)")
     sub.add_argument("--out", help="output file (default stdout)")
+
+
+def _add_sampling(sub: argparse.ArgumentParser) -> None:
+    """Flags of the subcommands that draw matrices."""
+    sub.add_argument("--threads", help="sampling threads (or TRAFFICS_THREADS)")
     sub.add_argument("--seed", help="master seed for sampling streams")
 
 
@@ -480,6 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sp.add_parser("estimate", help="Monte Carlo estimates over an n grid")
     _add_common(p)
+    _add_sampling(p)
     p.add_argument("--graph")
     p.add_argument("--ensemble")
     p.add_argument("--regime", action="append")
@@ -490,6 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sp.add_parser("concentration", help="central-moment decay and slope")
     _add_common(p)
+    _add_sampling(p)
     p.add_argument("--graph")
     p.add_argument("--ensemble")
     p.add_argument("--regime", action="append")
@@ -519,6 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sp.add_parser("selftest", help="fast oracle-equivalence suites")
     _add_common(p)
+    p.add_argument("--seed", help="seed of the random test matrices")
     return ap
 
 

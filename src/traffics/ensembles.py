@@ -273,15 +273,23 @@ class BandProfile:
         return (2 * self.width(n)) ** -0.5
 
 
-def band_mask(n: int, profile: BandProfile) -> np.ndarray:
-    """0/1 mask selecting the band (diagonal always included)."""
-    if profile.regime == "wigner":
-        return np.ones((n, n))
-    idx = np.arange(n)
-    d = np.abs(idx[:, None] - idx[None, :])
+def _outside_band(n: int, profile: BandProfile) -> np.ndarray:
+    """Boolean mask of the entries above the diagonal that lie outside the
+    band: j - i > b(n), and n - (j - i) > b(n) too if the band is periodic.
+    Under ``wigner`` (b(n) = n) it is all False."""
+    b = profile.width(n)
+    outside = ~np.tri(n, k=b, dtype=bool)
     if profile.is_periodic:
-        d = np.minimum(d, n - d)
-    return (d <= profile.width(n)).astype(float)
+        outside &= np.tri(n, k=n - b - 1, dtype=bool)
+    return outside
+
+
+def band_mask(n: int, profile: BandProfile) -> np.ndarray:
+    """0/1 float mask of the band, diagonal always included.  It is the band
+    :func:`sample_rbm` keeps, from the same helper; the samplers do not
+    build it."""
+    outside = _outside_band(n, profile)
+    return (~(outside | outside.T)).astype(float)
 
 
 def check_slow_growth(profile: BandProfile, ns) -> None:
@@ -302,6 +310,40 @@ def check_slow_growth(profile: BandProfile, ns) -> None:
 # ---------------------------------------------------------------------------
 # samplers
 
+def _assemble(
+    n: int,
+    entry: Optional[EntrySpec],
+    rng: np.random.Generator,
+    profile: Optional[BandProfile] = None,
+) -> np.ndarray:
+    """Hermitian matrix in one pass over the draws.
+
+    Draws the n(n-1)/2 off-diagonal values in ``triu_indices`` order, then
+    the n diagonal ones, scales them by the ``profile``'s normalization if
+    there is one, and writes them through the strict-upper-triangle mask of
+    the matrix and, conjugated, of its transpose.  The entries outside the
+    profile's band are then cleared to +0.0 through one mask on both."""
+    entry = entry if entry is not None else EntrySpec.gaussian()
+    off = entry.sample_offdiag(rng, n * (n - 1) // 2)
+    d = entry.sample_diag(rng, n)
+    if profile is not None:
+        scale = profile.normalization(n)
+        off *= scale
+        d *= scale
+    if np.iscomplexobj(off):
+        off.real += 0.0  # zero real parts (beta = -1) are +0.0, as in the sum x + x^H
+    x = np.zeros((n, n), dtype=complex if np.iscomplexobj(off) else float)
+    upper = ~np.tri(n, dtype=bool)
+    x[upper] = off
+    x.T[upper] = off.conj()
+    if profile is not None:
+        outside = _outside_band(n, profile)
+        x[outside] = 0
+        x.T[outside] = 0
+    np.fill_diagonal(x, d)
+    return x
+
+
 def sample_hermitian(
     n: int,
     entry: Optional[EntrySpec] = None,
@@ -311,16 +353,7 @@ def sample_hermitian(
     index: int = 0,
 ) -> np.ndarray:
     """Hermitian matrix with iid unit-variance entries (no normalization)."""
-    rng = _resolve_rng(rng, seed, index)
-    entry = entry if entry is not None else EntrySpec.gaussian()
-    iu = np.triu_indices(n, 1)
-    off = entry.sample_offdiag(rng, iu[0].size)
-    d = entry.sample_diag(rng, n)
-    x = np.zeros((n, n), dtype=complex if np.iscomplexobj(off) else float)
-    x[iu] = off
-    x = x + x.conj().T
-    x[np.arange(n), np.arange(n)] = d
-    return x
+    return _assemble(n, entry, _resolve_rng(rng, seed, index))
 
 
 def sample_wigner(
@@ -344,10 +377,10 @@ def sample_rbm(
     seed: Optional[int] = None,
     index: int = 0,
 ) -> np.ndarray:
-    """Random band matrix: masked Hermitian entries times the profile's
-    normalization."""
-    x = sample_hermitian(n, entry, rng, seed=seed, index=index)
-    return profile.normalization(n) * band_mask(n, profile) * x
+    """Random band matrix: the draws of :func:`sample_hermitian` times the
+    profile's normalization inside the band and +0.0 outside it, assembled
+    in one pass without building :func:`band_mask`."""
+    return _assemble(n, entry, _resolve_rng(rng, seed, index), profile)
 
 
 def degree_matrix(w: np.ndarray) -> np.ndarray:

@@ -288,6 +288,9 @@ def build_double_tree_corpus(
     the standard non-free-product graphs."""
     if not 1 <= max_pads <= 4:
         raise ValueError("pad budget must be between 1 and 4")
+    repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
+    if repeated:
+        raise ValueError(f"corpus labels repeat: {', '.join(repeated)}")
 
     def candidates() -> Iterator[TestGraph]:
         for k in range(1, max_pads + 1):

@@ -197,3 +197,34 @@ def haar_tau0_exact(T: TestGraph, n: int) -> Fraction:
 def haar_estimator_mean(T: TestGraph, n: int) -> Fraction:
     """Exact mean of the count-normalized injective estimator."""
     return Fraction(n) ** (T.n_vertices - 1) * haar_injective_expectation(T, n)
+
+
+def sample_hermitian_reference(n: int, entry, rng) -> np.ndarray:
+    """Hermitian draw assembled the obvious way: scatter the off-diagonal
+    values at ``triu_indices``, add the conjugate transpose, set the
+    diagonal."""
+    iu = np.triu_indices(n, 1)
+    off = entry.sample_offdiag(rng, iu[0].size)
+    d = entry.sample_diag(rng, n)
+    x = np.zeros((n, n), dtype=complex if np.iscomplexobj(off) else float)
+    x[iu] = off
+    x = x + x.conj().T
+    x[np.arange(n), np.arange(n)] = d
+    return x
+
+
+def band_mask_reference(n: int, profile) -> np.ndarray:
+    """0/1 band mask from the distance matrix |i - j| (circular if periodic)."""
+    if profile.regime == "wigner":
+        return np.ones((n, n))
+    idx = np.arange(n)
+    d = np.abs(idx[:, None] - idx[None, :])
+    if profile.is_periodic:
+        d = np.minimum(d, n - d)
+    return (d <= profile.width(n)).astype(float)
+
+
+def sample_rbm_reference(n: int, profile, entry, rng) -> np.ndarray:
+    """Band draw as normalization * band mask * Hermitian draw."""
+    x = sample_hermitian_reference(n, entry, rng)
+    return profile.normalization(n) * band_mask_reference(n, profile) * x

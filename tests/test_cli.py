@@ -453,6 +453,43 @@ def test_bad_numbers_are_user_errors(capsys, argv):
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("moments", "--poly", "x", "--order", "2", "--threads", "0"),
+    ("moments", "--poly", "x", "--order", "2", "--seed", "1"),
+    ("ltd", "--graph", PAD, "--threads", "2"),
+    ("ltd", "--graph", PAD, "--seed", "1"),
+    ("independence", "--max-pads", "1", "--threads", "0"),
+    ("independence", "--max-pads", "1", "--seed", "1"),
+    ("selftest", "--threads", "2"),
+])
+def test_sampling_flags_only_where_something_is_drawn(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("moments", "--poly", "x", "--order", "2"), "threads"),
+    (("ltd", "--graph", PAD), "seed"),
+    (("independence", "--max-pads", "1"), "threads"),
+    (("selftest",), "threads"),
+])
+def test_sampling_config_keys_only_where_something_is_drawn(tmp_path, capsys, argv, key):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"unknown key '{key}'" in json.loads(err)["message"]
+
+
+def test_independence_refuses_repeated_labels(capsys):
+    code, out, err = run(capsys, "independence", "--max-pads", "1", "--labels", "x,x")
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "ValueError" and "x" in record["message"]
+
+
 def test_haar_rejects_entry_flags(capsys):
     code, _, err = run(
         capsys, "ltd", "--graph", PAD, "--ensemble", "haar", "--entry", "x=gaussian"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from traffics import ensembles
 from traffics.ensembles import (
     BandProfile,
     EntrySpec,
@@ -17,6 +18,7 @@ from traffics.ensembles import (
     sample_wigner,
     stream,
 )
+from oracles import band_mask_reference, sample_hermitian_reference, sample_rbm_reference
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +141,56 @@ def test_rbm_respects_band():
     assert np.allclose(a, a.conj().T)
     assert a[0, 5] == 0
     assert a[0, 1] != 0 or a[1, 2] != 0  # overwhelmingly likely
+
+
+ASSEMBLY_REGIMES = ("wigner", "fixed:0", "fixed:2", "proportional:1/4", "proportional:1/2",
+                    "proportional:1", "slow:0.5", "periodic-slow:0.5", "periodic-prop:1/4")
+ASSEMBLY_LAWS = {
+    "beta=1": EntrySpec.gaussian(1),
+    "beta=0": EntrySpec.gaussian(0),
+    "beta=0.3+0.4i": EntrySpec.gaussian(0.3 + 0.4j),
+    "beta=-1": EntrySpec.gaussian(-1),
+    "rademacher": EntrySpec.rademacher(),
+}
+ASSEMBLY_NS = (1, 2, 3, 7, 50)
+
+
+@pytest.mark.parametrize("law", sorted(ASSEMBLY_LAWS))
+def test_rbm_matches_masked_hermitian_oracle(law):
+    # the one-pass assembly equals normalization * band_mask * hermitian up
+    # to the sign of zeros: out of band it writes +0.0, where 0 * x left -0.0
+    entry = ASSEMBLY_LAWS[law]
+    for text in ASSEMBLY_REGIMES:
+        profile = BandProfile.parse(text)
+        for n in ASSEMBLY_NS:
+            got = sample_rbm(n, profile, entry, stream(5, n))
+            want = sample_rbm_reference(n, profile, entry, stream(5, n))
+            assert got.dtype == want.dtype, (text, n)
+            assert np.array_equal(got, want), (text, n)
+            outside = got[band_mask_reference(n, profile) == 0]
+            assert not np.signbit(outside.real).any() and not np.signbit(outside.imag).any()
+            assert np.array_equal(band_mask(n, profile), band_mask_reference(n, profile))
+
+
+def test_rbm_builds_no_band_mask_or_index_arrays(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_rbm builds no band mask or triu indices")
+
+    monkeypatch.setattr(ensembles, "band_mask", refuse)
+    monkeypatch.setattr(np, "triu_indices", refuse)
+    a = sample_rbm(9, BandProfile.parse("periodic-prop:1/4"), seed=1)
+    assert a.shape == (9, 9) and a[0, 8] != 0 and a[0, 4] == 0
+
+
+@pytest.mark.parametrize("law", sorted(ASSEMBLY_LAWS))
+def test_hermitian_and_wigner_draws_keep_their_bytes(law):
+    entry = ASSEMBLY_LAWS[law]
+    for n in ASSEMBLY_NS:
+        want = sample_hermitian_reference(n, entry, stream(6, n))
+        got = sample_hermitian(n, entry, stream(6, n))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        wigner = sample_wigner(n, entry, stream(6, n))
+        assert wigner.tobytes() == (want / np.sqrt(n)).tobytes()
 
 
 def test_hermitian_complex_entries():

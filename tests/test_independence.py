@@ -96,6 +96,8 @@ def test_corpus_shape():
     assert max(g.n_vertices for g in corpus) == 8
     with pytest.raises(ValueError):
         build_double_tree_corpus(max_pads=0)
+    with pytest.raises(ValueError, match="labels repeat: x"):
+        build_double_tree_corpus(1, ("x", "y", "x"))
 
 
 def test_wigner_families_pass_the_audit():
