@@ -22,9 +22,9 @@ batch axes of the bound matrices:
 
 Degree-1 results are keyed by a rooted-subtree code, so the Mobius terms of
 one injective trace, evaluated on the same draws, share their pendant sums.
-When the smallest degree exceeds the rank guard the engine warns and falls
-back to direct enumeration of the maps, which is also exposed as a test
-oracle.
+A general step whose ``batch x n^degree`` output would exceed
+``DEFAULT_ENUM_LIMIT`` entries raises ``ValueError`` before it allocates.
+Direct enumeration of the maps is kept only as a test oracle.
 
 Traffic states: ``tau[T] = E (1/n) tr T(A)`` is estimated by Monte Carlo with
 one counter-based stream per sample index, so results are byte-identical for
@@ -34,7 +34,6 @@ a given (seed, n, samples) regardless of batching or thread count.
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,12 +46,7 @@ import numpy as np
 from .graphs import GraphMonomial, TestGraph, canonical_form, canonical_key, quotient, shape_sum
 from .partitions import MAX_GROUND, enumerate_partitions, mobius_zero
 
-DEFAULT_MAX_RANK = 4
 DEFAULT_ENUM_LIMIT = 10**8
-
-
-class _RankOverflow(Exception):
-    pass
 
 
 def _bindings(labels: Sequence[str], matrices: Any) -> dict[str, np.ndarray]:
@@ -217,21 +211,27 @@ class _Folded:
     def degree(self, v: int) -> int:
         return len(self.nbrs[v])
 
-    def eliminate(self, v: int, n: int, pendants: dict) -> Union[int, np.ndarray, None]:
+    def eliminate(self, v: int, ctx: _Bound) -> Union[int, np.ndarray, None]:
         """Sum out v; returns the scalar factor when v had no neighbours."""
         deg = len(self.nbrs[v])
         if any(v in axes for _, axes in self.hypers) or deg >= 3:
+            size = math.prod(ctx.batch) * ctx.n**deg
+            if size > DEFAULT_ENUM_LIMIT:
+                raise ValueError(
+                    f"a degree-{deg} contraction step needs {size} entries, "
+                    f"over the limit {DEFAULT_ENUM_LIMIT}"
+                )
             self._general(v)
         elif deg == 2:
             self._bridge(v)
         elif deg == 1:
-            self._pendant(v, pendants)
+            self._pendant(v, ctx.pendants)
         else:
             self.nbrs.pop(v)
             ops: list = []
             for w, _ in self.weights.pop(v):
                 ops += [w, [_E, 0]]
-            return np.einsum(*ops, [_E]) if ops else n  # n: v is free in every map
+            return np.einsum(*ops, [_E]) if ops else ctx.n  # n: v is free in every map
         return None
 
     def _pendant(self, v: int, pendants: dict) -> None:
@@ -297,12 +297,13 @@ class _Folded:
         return np.einsum(*ops, [_E] + list(range(len(keep))))
 
 
-def _contract(g: TestGraph, ctx: _Bound, keep: tuple[int, ...], max_rank: int) -> np.ndarray:
+def _contract(g: TestGraph, ctx: _Bound, keep: tuple[int, ...]) -> np.ndarray:
     """Sum over all maps phi, returning an array indexed by phi on ``keep``.
 
     Vertices go smallest degree first.  Degrees 0, 1 and 2 have their own
     kernels (a sum, a one-pass vector, one matmul); larger ones take a
-    general einsum step, and one above ``max_rank`` raises ``_RankOverflow``.
+    general einsum step, which raises ``ValueError`` when its output would
+    exceed ``DEFAULT_ENUM_LIMIT`` entries.
     """
     n, batch = ctx.n, ctx.batch
     folded = _Folded(g, ctx.mats)
@@ -310,10 +311,8 @@ def _contract(g: TestGraph, ctx: _Bound, keep: tuple[int, ...], max_rank: int) -
     live = [v for v in range(g.n_vertices) if v not in keep]
     while live:
         v = min(live, key=lambda u: (folded.degree(u), u))
-        if folded.degree(v) > max_rank:
-            raise _RankOverflow(folded.degree(v))
         live.remove(v)
-        factor = folded.eliminate(v, n, ctx.pendants)
+        factor = folded.eliminate(v, ctx)
         if factor is not None:
             scalar = scalar * factor
     if not keep:
@@ -344,49 +343,23 @@ def _all_maps(n: int, k: int) -> np.ndarray:
     return np.stack([a.ravel() for a in grids], axis=1)
 
 
-def _enumerate(g: TestGraph, ctx: _Bound, rank: int, max_rank: int):
-    """Fallback for a rank overflow: every map and its edge product."""
-    k = g.n_vertices
-    warnings.warn(
-        f"contraction needs a rank-{rank} intermediate (max_rank={max_rank}); "
-        f"enumerating {ctx.n}^{k} = {ctx.n ** k} maps instead",
-        RuntimeWarning, stacklevel=3,
-    )
-    phis = _all_maps(ctx.n, k)
-    return phis, _phi_values(g, ctx.mats, phis, ctx.batch)
-
-
-def eval_graph_matrix(
-    t: GraphMonomial, matrices: Any, *, max_rank: int = DEFAULT_MAX_RANK
-) -> np.ndarray:
+def eval_graph_matrix(t: GraphMonomial, matrices: Any) -> np.ndarray:
     """Evaluate a graph monomial on bound matrices; result (..., n, n)."""
     g = t.graph
     ctx = _bound(g, matrices)
-    n, batch = ctx.n, ctx.batch
-    try:
-        if t.v_in == t.v_out:
-            vec = _contract(g, ctx, (t.v_in,), max_rank)
-            out = np.zeros(batch + (n, n), dtype=vec.dtype)
-            idx = np.arange(n)
-            out[..., idx, idx] = vec
-            return out
-        return _contract(g, ctx, (t.v_out, t.v_in), max_rank)
-    except _RankOverflow as exc:
-        phis, vals = _enumerate(g, ctx, exc.args[0], max_rank)
-    out = np.zeros(batch + (n, n), dtype=vals.dtype)
-    flat = out.reshape((-1, n, n))
-    vflat = vals.reshape((-1, vals.shape[-1]))
-    np.add.at(flat, (slice(None), phis[:, t.v_out], phis[:, t.v_in]), vflat)
-    return flat.reshape(out.shape)
+    if t.v_in != t.v_out:
+        return _contract(g, ctx, (t.v_out, t.v_in))
+    vec = _contract(g, ctx, (t.v_in,))
+    out = np.zeros(ctx.batch + (ctx.n, ctx.n), dtype=vec.dtype)
+    idx = np.arange(ctx.n)
+    out[..., idx, idx] = vec
+    return out
 
 
-def trace_test_graph(T: TestGraph, matrices: Any, *, max_rank: int = DEFAULT_MAX_RANK) -> Any:
+def trace_test_graph(T: TestGraph, matrices: Any) -> Any:
     """tr T(A): sum over all vertex maps of the edge-entry product."""
     ctx = _bound(T, matrices)
-    try:
-        out = _contract(T, ctx, (), max_rank)
-    except _RankOverflow as exc:
-        out = _enumerate(T, ctx, exc.args[0], max_rank)[1].sum(axis=-1)
+    out = _contract(T, ctx, ())
     return out if ctx.batch else out[()]
 
 
@@ -470,8 +443,9 @@ def _sample_values(
     from .ensembles import stream
 
     def run_chunk(start: int, stop: int) -> np.ndarray:
-        # each draw is copied into its slot and dropped, so the chunk holds
-        # its draws once
+        # each draw is copied into its slot; ``draw`` keeps the previous
+        # sample's matrices alive while the next is drawn, and the last
+        # sample's through ``values(stacked)`` (a ``del`` cost wall time)
         stacked: dict[str, np.ndarray] = {}
         for k, i in enumerate(range(start, stop)):
             draw = model.sample(n, stream(seed, i))

@@ -660,11 +660,6 @@ class DSLError(ValueError):
         self.col = col
 
 
-def _tok_col(raw: str, tok: str) -> int:
-    i = raw.find(tok)
-    return (i if i >= 0 else 0) + 1
-
-
 def parse_dsl(text: str) -> GraphLike:
     """Parse the text format; returns the most specific graph type.
 
@@ -673,9 +668,9 @@ def parse_dsl(text: str) -> GraphLike:
     """
     ids: dict[int, int] = {}
 
-    def vid(tok: str, lineno: int, raw: str) -> int:
+    def vid(tok: str, lineno: int, col: int) -> int:
         if not tok.isdigit():
-            raise DSLError(lineno, _tok_col(raw, tok), f"vertex id {tok!r} is not a decimal integer")
+            raise DSLError(lineno, col, f"vertex id {tok!r} is not a decimal integer")
         k = int(tok)
         if k not in ids:
             ids[k] = len(ids)
@@ -686,55 +681,56 @@ def parse_dsl(text: str) -> GraphLike:
     roots: list[int] | None = None
     declared_n = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0]
-        toks = line.split()
+        found = list(re.finditer(r"\S+", raw.split("#", 1)[0]))
+        toks = [m.group() for m in found]
+        cols = [m.start() + 1 for m in found]  # 1-based column of each token
         if not toks:
             continue
         kw = toks[0]
         if kw == "n":
             if len(toks) != 2 or not toks[1].isdigit():
-                raise DSLError(lineno, _tok_col(raw, kw), "expected: n <count>")
+                raise DSLError(lineno, cols[0], "expected: n <count>")
             declared_n = int(toks[1])
             if declared_n < 1:
-                raise DSLError(lineno, _tok_col(raw, toks[1]), "vertex count must be >= 1")
+                raise DSLError(lineno, cols[1], "vertex count must be >= 1")
             for k in range(declared_n):
                 ids.setdefault(k, len(ids))
         elif kw == "e":
             if len(toks) != 4:
-                raise DSLError(lineno, _tok_col(raw, kw), "expected: e <src> <dst> <label>")
-            src = vid(toks[1], lineno, raw)
-            tar = vid(toks[2], lineno, raw)
+                raise DSLError(lineno, cols[0], "expected: e <src> <dst> <label>")
+            src = vid(toks[1], lineno, cols[1])
+            tar = vid(toks[2], lineno, cols[2])
             lab = toks[3]
             star = lab.endswith("*")
             if star:
                 lab = lab[:-1]
             if not _LABEL_RE.match(lab):
-                raise DSLError(lineno, _tok_col(raw, toks[3]), f"bad label {toks[3]!r}")
+                raise DSLError(lineno, cols[3], f"bad label {toks[3]!r}")
             edges.append(Edge(src, tar, lab, star))
         elif kw in ("in", "out"):
             if len(toks) != 2:
-                raise DSLError(lineno, _tok_col(raw, kw), f"expected: {kw} <vertex>")
+                raise DSLError(lineno, cols[0], f"expected: {kw} <vertex>")
             if roots is not None:
-                raise DSLError(lineno, _tok_col(raw, kw), f"{kw!r} conflicts with an earlier 'roots' line")
-            v = vid(toks[1], lineno, raw)
+                raise DSLError(lineno, cols[0], f"{kw!r} conflicts with an earlier 'roots' line")
+            v = vid(toks[1], lineno, cols[1])
             if kw == "in":
                 if v_in is not None:
-                    raise DSLError(lineno, _tok_col(raw, kw), "duplicate 'in' line")
+                    raise DSLError(lineno, cols[0], "duplicate 'in' line")
                 v_in = v
             else:
                 if v_out is not None:
-                    raise DSLError(lineno, _tok_col(raw, kw), "duplicate 'out' line")
+                    raise DSLError(lineno, cols[0], "duplicate 'out' line")
                 v_out = v
         elif kw == "roots":
             if v_in is not None or v_out is not None:
-                raise DSLError(lineno, _tok_col(raw, kw), "'roots' conflicts with an earlier 'in'/'out' line")
+                raise DSLError(lineno, cols[0], "'roots' conflicts with an earlier 'in'/'out' line")
             if roots is not None:
-                raise DSLError(lineno, _tok_col(raw, kw), "duplicate 'roots' line")
+                raise DSLError(lineno, cols[0], "duplicate 'roots' line")
             if len(toks) < 2:
-                raise DSLError(lineno, _tok_col(raw, kw), "expected: roots <v1> [<v2> ...]")
-            roots = [vid(t, lineno, raw) for t in toks[1:]]
+                raise DSLError(lineno, cols[0], "expected: roots <v1> [<v2> ...]")
+            roots = [vid(t, lineno, c) for t, c in zip(toks[1:], cols[1:])]
         else:
-            raise DSLError(lineno, _tok_col(raw, kw), f"unknown directive {kw!r}")
+            raise DSLError(lineno, cols[0], f"unknown directive {kw!r}")
     if not ids:
         raise ValueError("empty graph description")
     if (v_in is None) != (v_out is None):

@@ -657,6 +657,9 @@ def fixed_band_ltd(
     Rademacher) satisfies; otherwise it is a float and ``norm_sq`` keeps P.
     """
     g = _strip_stars(T)
+    for lab in g.labels():
+        if lab not in bands:
+            raise ValueError(f"no band width for label {lab!r}")
 
     def entry_for(lab: str) -> EntrySpec:
         if entries is None:
@@ -964,10 +967,19 @@ def model_ltd(model: MatrixModel) -> Callable[[TestGraph], Number]:
     the value of :func:`fixed_band_ltd` (exact wherever it is rational); an
     all-Wigner model gives :func:`wigner_ltd`, which takes non-real
     pseudo-variances too; any other model gives :func:`rbm_ltd`.  Both take
-    the pseudo-variances of the model's entry laws.
+    the pseudo-variances of the model's entry laws.  A model that mixes fixed
+    bands with another regime is refused: no exact limit covers it.
     """
     profiles, entries = model.profiles(), model.entries()
-    kinds = {profiles[lab].regime if lab in profiles else "haar" for lab in model.labels}
+    regime = {lab: profiles[lab].regime if lab in profiles else "haar" for lab in model.labels}
+    kinds = set(regime.values())
+    if "fixed" in kinds and kinds != {"fixed"}:
+        fixed = ", ".join(lab for lab in sorted(regime) if regime[lab] == "fixed")
+        other = ", ".join(lab for lab in sorted(regime) if regime[lab] != "fixed")
+        raise ValueError(
+            f"fixed bands on {fixed} mixed with other regimes on {other}: "
+            "no exact limit covers the mix"
+        )
     if kinds == {"haar"}:
         return haar_ltd
     if kinds == {"fixed"}:

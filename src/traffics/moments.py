@@ -337,9 +337,7 @@ def parse_poly(text: str) -> TrafficPolynomial:
     return out
 
 
-def eval_polynomial_matrix(
-    a: Any, matrices: Mapping[str, np.ndarray], **kwargs
-) -> np.ndarray:
+def eval_polynomial_matrix(a: Any, matrices: Mapping[str, np.ndarray]) -> np.ndarray:
     """Evaluate a polynomial on concrete matrices: sum of coefficient times
     the monomial evaluations."""
     from .engine import eval_graph_matrix
@@ -347,7 +345,7 @@ def eval_polynomial_matrix(
     out: Optional[np.ndarray] = None
     for mono, coeff in _as_poly(a).terms:
         val = complex(coeff) if isinstance(coeff, complex) else float(coeff)
-        piece = val * eval_graph_matrix(mono, matrices, **kwargs)
+        piece = val * eval_graph_matrix(mono, matrices)
         out = piece if out is None else out + piece
     if out is None:
         raise ValueError("the zero polynomial has no evaluation shape")

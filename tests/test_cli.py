@@ -407,6 +407,29 @@ def test_errors_are_machine_readable(capsys):
     assert "missing --n" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("ltd", ()),
+    ("estimate", ("--n", "100", "--samples", "20")),
+])
+def test_fixed_band_mixed_with_another_regime_is_refused(capsys, command, flags):
+    code, out, err = run(capsys, command, "--graph", PAD_PATH,
+                         "--regime", "x=proportional:1/2,y=fixed:2", *flags)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "fixed bands on y mixed with other regimes on x: no exact limit covers the mix",
+    }
+
+
+def test_oversized_contraction_is_a_user_error(capsys):
+    k6 = "; ".join(f"e {u} {v} x" for u in range(6) for v in range(u + 1, 6))
+    code, out, err = run(capsys, "estimate", "--graph", k6, "--n", "200", "--samples", "2")
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "ValueError"
+    assert "degree-5 contraction step" in record["message"]
+
+
 def test_program_bugs_are_not_user_errors(monkeypatch, capsys):
     # only ValueError and OSError are user errors (exit 2); a TypeError is a
     # bug and propagates, which the interpreter turns into exit 1

@@ -82,13 +82,6 @@ def dense_five_vertex_graphs(draw):
     return TestGraph(5, tuple(edges))
 
 
-def _quiet(fn, *args, **kwargs):
-    # the rank-overflow fallback warns; these tests compare its answers
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return fn(*args, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # graph evaluation
 
@@ -177,14 +170,27 @@ def test_trace_is_sum_of_injective_quotients(g, n):
     assert np.isclose(whole, parts, rtol=1e-9, atol=1e-12)
 
 
-def test_contraction_rank_does_not_change_answers(rng):
-    g = TestGraph(4, (Edge(0, 1, "x"), Edge(1, 2, "x"), Edge(2, 3, "x"),
-                      Edge(3, 0, "x"), Edge(0, 2, "y")))
-    mats = random_matrices("xy", 8, rng)
-    with pytest.warns(RuntimeWarning):  # max_rank=1 takes the enumeration fallback
-        low = trace_test_graph(g, mats, max_rank=1)
-    vals = {low.round(9)} | {trace_test_graph(g, mats, max_rank=r).round(9) for r in (2, 4)}
-    assert len(vals) == 1
+_FOUR_CYCLE_WITH_CHORD = TestGraph(4, (Edge(0, 1, "x"), Edge(1, 2, "x"), Edge(2, 3, "x"),
+                                       Edge(3, 0, "x"), Edge(0, 2, "y")))
+
+
+def test_four_cycle_with_chord_trace_matches_enumeration(rng):
+    g = _FOUR_CYCLE_WITH_CHORD
+    mats = random_matrices("xy", 8, rng, complex_=True, batch=(2,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = trace_test_graph(g, mats)
+    assert np.allclose(got, trace_full_direct(g, mats))
+
+
+def test_four_cycle_with_chord_rooted_matches_enumeration(rng):
+    g = _FOUR_CYCLE_WITH_CHORD
+    mats = random_matrices("xy", 5, rng)
+    for v_in, v_out in ((0, 2), (1, 1), (1, 3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eval_graph_matrix(GraphMonomial(g, v_in, v_out), mats)
+        assert np.allclose(got, naive_graph_matrix(g, v_out, v_in, mats))
 
 
 def test_batched_trace(rng):
@@ -203,33 +209,33 @@ def test_loop_edges_evaluate_on_the_diagonal(rng):
 
 
 @settings(max_examples=40)
-@given(loopy_graphs(), st.integers(2, 4), st.integers(1, 4))
-def test_batched_complex_trace_matches_enumeration(g, n, max_rank):
+@given(loopy_graphs(), st.integers(2, 4))
+def test_batched_complex_trace_matches_enumeration(g, n):
     rng = np.random.default_rng(31 * n + len(g.edges))
     mats = random_matrices(_labels(g), n, rng, complex_=True, batch=(2, 3))
-    fast = _quiet(trace_test_graph, g, mats, max_rank=max_rank)
+    fast = trace_test_graph(g, mats)
     slow = trace_full_direct(g, mats)
     assert fast.shape == (2, 3)
     assert np.allclose(fast, slow, rtol=1e-9, atol=1e-12)
 
 
 @settings(max_examples=25)
-@given(dense_five_vertex_graphs(), st.integers(2, 3), st.integers(1, 4))
-def test_general_steps_match_enumeration(g, n, max_rank):
+@given(dense_five_vertex_graphs(), st.integers(2, 3))
+def test_general_steps_match_enumeration(g, n):
     rng = np.random.default_rng(7 * n + len(g.edges))
     mats = random_matrices(_labels(g), n, rng, complex_=True, batch=(2,))
-    fast = _quiet(trace_test_graph, g, mats, max_rank=max_rank)
+    fast = trace_test_graph(g, mats)
     assert np.allclose(fast, trace_full_direct(g, mats), rtol=1e-9, atol=1e-12)
 
 
 @settings(max_examples=40)
-@given(loopy_graphs(), st.integers(2, 3), st.integers(1, 4), st.data())
-def test_eval_graph_matrix_matches_enumeration(g, n, max_rank, data):
+@given(loopy_graphs(), st.integers(2, 3), st.data())
+def test_eval_graph_matrix_matches_enumeration(g, n, data):
     v_out = data.draw(st.integers(0, g.n_vertices - 1))
     v_in = data.draw(st.sampled_from([v_out, data.draw(st.integers(0, g.n_vertices - 1))]))
     rng = np.random.default_rng(13 * n + len(g.edges))
     mats = random_matrices(_labels(g), n, rng, complex_=True, batch=(2,))
-    fast = _quiet(eval_graph_matrix, GraphMonomial(g, v_in, v_out), mats, max_rank=max_rank)
+    fast = eval_graph_matrix(GraphMonomial(g, v_in, v_out), mats)
     assert np.allclose(fast, naive_graph_matrix(g, v_out, v_in, mats), rtol=1e-9, atol=1e-12)
 
 
@@ -274,17 +280,29 @@ def test_pendant_codes_keep_orientation_and_star(rng):
     assert np.allclose(trace_test_graph(g, mats), trace_full_direct(g, mats))
 
 
-def test_rank_overflow_fallback_warns(rng):
-    g = TestGraph(4, (Edge(0, 1, "x"), Edge(1, 2, "x"), Edge(2, 3, "x"),
-                      Edge(3, 0, "x"), Edge(0, 2, "y")))
-    mats = random_matrices("xy", 5, rng)
-    with pytest.warns(RuntimeWarning, match=r"rank-2 .*max_rank=1.*5\^4 = 625 maps"):
-        low = trace_test_graph(g, mats, max_rank=1)
-    assert np.isclose(low, trace_test_graph(g, mats))
-    t = GraphMonomial(g, 0, 2)
-    with pytest.warns(RuntimeWarning, match=r"rank-2 .*5\^4 = 625 maps"):
-        low = eval_graph_matrix(t, mats, max_rank=1)
-    assert np.allclose(low, eval_graph_matrix(t, mats))
+def _complete(k):
+    return TestGraph(k, tuple(Edge(u, v, "x") for u, v in combinations(range(k), 2)))
+
+
+def test_oversized_general_step_is_refused_before_allocating(rng):
+    # K6 at n=200: the first step would need a 200^5 array (~5 TB complex)
+    mats = {"x": rng.standard_normal((200, 200))}
+    with pytest.raises(ValueError, match=r"degree-5 contraction step needs 320000000000 entries"):
+        trace_test_graph(_complete(6), mats)
+    with pytest.raises(ValueError, match="over the limit"):
+        eval_graph_matrix(GraphMonomial(_complete(6), 0, 1), mats)
+
+
+def test_size_check_counts_batch_and_degree(rng, monkeypatch):
+    # K5 at n=3 over a batch of 2: its largest step is 2 * 3^4 = 162 entries
+    g = _complete(5)
+    mats = random_matrices("x", 3, rng, batch=(2,))
+    want = trace_full_direct(g, mats)
+    monkeypatch.setattr(engine, "DEFAULT_ENUM_LIMIT", 162)
+    assert np.allclose(trace_test_graph(g, mats), want)
+    monkeypatch.setattr(engine, "DEFAULT_ENUM_LIMIT", 161)
+    with pytest.raises(ValueError, match="degree-4 contraction step needs 162 entries"):
+        trace_test_graph(g, mats)
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,21 @@ def test_parse_errors_carry_position():
     assert info.value.line == 2
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("e 1 2 1", 1, 7),            # the label, not the first '1'
+    ("e e 1 x", 1, 3),            # the vertex, not the keyword
+    ("e 0 1 x\ne 0 0 0", 2, 7),
+    ("  e  0 1  2x", 1, 11),
+    ("roots 0 0 a", 1, 11),
+    ("n 3\nin 1\nin 1\nout 0", 3, 1),
+    ("n 0", 1, 3),
+])
+def test_parse_errors_point_at_the_offending_token(text, line, col):
+    with pytest.raises(DSLError) as info:
+        parse_dsl(text)
+    assert (info.value.line, info.value.col) == (line, col)
+
+
 def test_parse_rejects_disconnected():
     with pytest.raises(ValueError):
         parse_dsl("n 3\ne 0 1 x\n")

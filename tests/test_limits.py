@@ -516,6 +516,14 @@ def test_fixed_band_ltd_three_pad_path():
     assert fixed_band_ltd(path, {"x": 2, "y": 2}).value == Fraction(6, 25)
 
 
+@pytest.mark.parametrize("g", [pad2(), TestGraph(2, (Edge(0, 1, "x"),))])
+def test_fixed_band_missing_width_is_a_value_error(g):
+    # a lone edge has a vanishing moment factor and is refused all the same
+    for fn in (fixed_band_ltd, fixed_band_density):
+        with pytest.raises(ValueError, match="no band width for label 'x'"):
+            fn(g, {})
+
+
 def test_fixed_band_ltd_vanishes_on_odd_classes():
     g = TestGraph(2, (Edge(0, 1, "x"),))
     out = fixed_band_ltd(g, {"x": 3})
@@ -676,8 +684,8 @@ def test_model_ltd_resolves_each_kind():
     beta = complex(half, half)
     wig = model_ltd(MatrixModel({"x": (BandProfile.parse("wigner"), EntrySpec.gaussian(beta))}))
     assert wig(congruent) == wigner_ltd(congruent, beta) == pytest.approx(half)
-    # a fixed label beside a band label is not an all-fixed model
+    # a fixed label beside a band label is refused up front: no limit covers the mix
     mixed = MatrixModel({"x": BandProfile.parse("fixed:1"), "y": BandProfile.parse("wigner")})
-    with pytest.raises(ValueError, match="fixed-band oracle"):
-        model_ltd(mixed)(star)
+    with pytest.raises(ValueError, match="fixed bands on x mixed with other regimes on y"):
+        model_ltd(mixed)
     assert model_ltd(MatrixModel({}))(TestGraph(1)) == 1
