@@ -418,9 +418,11 @@ class Estimate:
     n: int
 
     def z(self, theory: complex) -> float:
+        diff = abs(complex(self.mean) - complex(theory))
         if self.stderr == 0:
-            return math.inf if self.mean != theory else 0.0
-        return abs(complex(self.mean) - complex(theory)) / self.stderr
+            # every sample agreed: a difference at rounding level is a match
+            return 0.0 if diff <= 1e-12 * max(abs(theory), 1.0) else math.inf
+        return diff / self.stderr
 
 
 def _chunk_size(n: int) -> int:

@@ -5,9 +5,10 @@ Entries are always centered with unit absolute second moment; the parameter
 entries.  Band profiles describe how the band width b(n) scales with the
 dimension and carry the matching normalization.
 
-Sampling is deterministic given (seed, index): every sample index gets its
-own counter-based Philox stream, so estimates are reproducible regardless of
-batching or thread count.
+Entry laws are ``gaussian`` (with pseudo-variance beta) and ``rademacher``
+(+-1 with equal weights).  Every sampler takes an explicit ``rng``, normally
+``stream(seed, index)``: each sample index gets its own counter-based Philox
+stream, so estimates are reproducible regardless of batching or thread count.
 """
 
 from __future__ import annotations
@@ -28,16 +29,6 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _resolve_rng(
-    rng: Optional[np.random.Generator], seed: Optional[int], index: int
-) -> np.random.Generator:
-    if rng is not None:
-        return rng
-    if seed is None:
-        seed = np.random.SeedSequence().entropy
-    return stream(seed, index)
-
-
 # ---------------------------------------------------------------------------
 # entry laws
 
@@ -51,49 +42,26 @@ def _double_factorial_odd(k: int) -> int:
 
 @dataclass(frozen=True)
 class Law:
-    """Real centered law with unit variance: 'gaussian' or finite 'discrete'."""
+    """Real centered law with unit variance: 'gaussian' or 'rademacher' (+-1)."""
 
     kind: str
-    atoms: tuple = ()
-    weights: tuple = ()
 
     def __post_init__(self):
-        if self.kind == "gaussian":
-            return
-        if self.kind != "discrete":
+        if self.kind not in ("gaussian", "rademacher"):
             raise ValueError(f"unknown law kind {self.kind!r}")
-        atoms = tuple(self.atoms)
-        weights = tuple(self.weights)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
-        if len(atoms) != len(weights) or not atoms:
-            raise ValueError("discrete law needs matching nonempty atoms/weights")
-        if any(w < 0 for w in weights):
-            raise ValueError("negative weight")
-        tot = sum(weights)
-        m1 = sum(w * a for a, w in zip(atoms, weights))
-        m2 = sum(w * a * a for a, w in zip(atoms, weights))
-        for name, val, want in (("total mass", tot, 1), ("mean", m1, 0), ("variance", m2, 1)):
-            if abs(val - want) > 1e-12:
-                raise ValueError(f"discrete law has {name} {val}, expected {want}")
 
     def moment(self, k: int) -> Number:
-        """Exact k-th moment (a Fraction for rational discrete laws)."""
+        """Exact k-th moment (a Fraction for Rademacher)."""
         if k < 0:
             raise ValueError("moment order must be >= 0")
         if self.kind == "gaussian":
             return 0 if k % 2 else _double_factorial_odd(k)
-        return sum(w * a**k for a, w in zip(self.atoms, self.weights))
+        return Fraction(0 if k % 2 else 1)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "gaussian":
             return rng.standard_normal(size)
-        atoms = np.asarray([float(a) for a in self.atoms])
-        p = np.asarray([float(w) for w in self.weights])
-        return atoms[rng.choice(len(atoms), size=size, p=p / p.sum())]
-
-
-_RADEMACHER = Law("discrete", (-1, 1), (Fraction(1, 2), Fraction(1, 2)))
+        return np.array([-1.0, 1.0])[rng.choice(2, size=size, p=[0.5, 0.5])]
 
 
 @dataclass(frozen=True)
@@ -122,16 +90,11 @@ class EntrySpec:
 
     @staticmethod
     def rademacher() -> "EntrySpec":
-        return EntrySpec(1, _RADEMACHER, _RADEMACHER)
-
-    @staticmethod
-    def discrete(atoms, weights, diag: Optional[Law] = None) -> "EntrySpec":
-        off = Law("discrete", tuple(atoms), tuple(weights))
-        return EntrySpec(1, off, diag if diag is not None else off)
+        return EntrySpec(1, Law("rademacher"), Law("rademacher"))
 
     @property
     def is_real(self) -> bool:
-        if self.offdiag.kind == "discrete":
+        if self.offdiag.kind == "rademacher":
             return True
         b = complex(self.beta)
         return b.imag == 0 and abs(b.real - 1) < 1e-12
@@ -146,7 +109,7 @@ class EntrySpec:
         return self.diag.moment(k)
 
     def sample_offdiag(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.offdiag.kind == "discrete" or self.is_real:
+        if self.is_real:
             return self.offdiag.sample(rng, size)
         b = complex(self.beta)
         vr, vi, cv = (1 + b.real) / 2, (1 - b.real) / 2, b.imag / 2
@@ -292,21 +255,6 @@ def band_mask(n: int, profile: BandProfile) -> np.ndarray:
     return (~(outside | outside.T)).astype(float)
 
 
-def check_slow_growth(profile: BandProfile, ns) -> None:
-    """Sanity-check a slow band width on the sampled grid: 1 <= b(n) < n/2,
-    nondecreasing.  The asymptotics (b -> inf, b = o(n)) are the caller's
-    declaration and cannot be verified on finitely many n."""
-    if profile.regime != "slow" and not (profile.is_periodic and profile.gamma is not None):
-        return
-    ns = sorted(ns)
-    widths = [profile.width(n) for n in ns]
-    for n, b in zip(ns, widths):
-        if not 1 <= b < n / 2:
-            raise ValueError(f"slow band width b({n}) = {b} is not in [1, n/2)")
-    if any(b2 < b1 for b1, b2 in zip(widths, widths[1:])):
-        raise ValueError("slow band width is not nondecreasing on the grid")
-
-
 # ---------------------------------------------------------------------------
 # samplers
 
@@ -344,43 +292,24 @@ def _assemble(
     return x
 
 
-def sample_hermitian(
-    n: int,
-    entry: Optional[EntrySpec] = None,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    seed: Optional[int] = None,
-    index: int = 0,
-) -> np.ndarray:
-    """Hermitian matrix with iid unit-variance entries (no normalization)."""
-    return _assemble(n, entry, _resolve_rng(rng, seed, index))
+def sample_hermitian(n: int, entry: Optional[EntrySpec], rng: np.random.Generator) -> np.ndarray:
+    """Hermitian matrix with iid unit-variance entries (no normalization);
+    ``entry`` None draws Gaussian entries."""
+    return _assemble(n, entry, rng)
 
 
-def sample_wigner(
-    n: int,
-    entry: Optional[EntrySpec] = None,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    seed: Optional[int] = None,
-    index: int = 0,
-) -> np.ndarray:
+def sample_wigner(n: int, entry: Optional[EntrySpec], rng: np.random.Generator) -> np.ndarray:
     """Normalized Wigner matrix: unit-variance Hermitian entries over sqrt(n)."""
-    return sample_hermitian(n, entry, rng, seed=seed, index=index) / math.sqrt(n)
+    return sample_hermitian(n, entry, rng) / math.sqrt(n)
 
 
 def sample_rbm(
-    n: int,
-    profile: BandProfile,
-    entry: Optional[EntrySpec] = None,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    seed: Optional[int] = None,
-    index: int = 0,
+    n: int, profile: BandProfile, entry: Optional[EntrySpec], rng: np.random.Generator
 ) -> np.ndarray:
     """Random band matrix: the draws of :func:`sample_hermitian` times the
     profile's normalization inside the band and +0.0 outside it, assembled
     in one pass without building :func:`band_mask`."""
-    return _assemble(n, entry, _resolve_rng(rng, seed, index), profile)
+    return _assemble(n, entry, rng, profile)
 
 
 def degree_matrix(w: np.ndarray) -> np.ndarray:
@@ -397,15 +326,8 @@ def markov(p: float, q: float, w: np.ndarray) -> np.ndarray:
     return p * w + q * degree_matrix(w)
 
 
-def sample_haar_orthogonal(
-    n: int,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    seed: Optional[int] = None,
-    index: int = 0,
-) -> np.ndarray:
+def sample_haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed orthogonal matrix via QR with sign correction."""
-    rng = _resolve_rng(rng, seed, index)
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     d = np.diagonal(r)
     return q * (d / np.abs(d))

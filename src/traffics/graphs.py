@@ -448,9 +448,6 @@ class TrafficPolynomial:
             (m.transpose(), c) for m, c in self.terms
         )
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 # ---------------------------------------------------------------------------
 # builders
@@ -575,7 +572,14 @@ def _canon_search(
     return best[0]
 
 
-def _canon_key(obj: GraphLike, max_vertices: int) -> tuple:
+@lru_cache(maxsize=1 << 16)
+def canonical_key(obj: GraphLike) -> tuple:
+    """Hashable isomorphism invariant, complete for graphs of at most
+    ``_CANON_CAP`` (16) vertices; larger graphs raise ``ValueError``.
+
+    The key is ``(tag, n, edges, roots)``: the relabelled edges, sorted,
+    and the relabelled roots, so it holds the canonical form itself.
+    """
     if isinstance(obj, TestGraph):
         g, roots, tag = obj, (), "tg"
     elif isinstance(obj, GraphMonomial):
@@ -585,24 +589,12 @@ def _canon_key(obj: GraphLike, max_vertices: int) -> tuple:
     else:
         raise TypeError(f"cannot canonicalize {type(obj).__name__}")
     n = g.n_vertices
-    if n > max_vertices:
-        raise ValueError(
-            f"canonical form supports at most {max_vertices} vertices, got {n}"
-        )
+    if n > _CANON_CAP:
+        raise ValueError(f"canonical form supports at most {_CANON_CAP} vertices, got {n}")
     role: list[tuple[int, ...]] = [tuple(i for i, r in enumerate(roots) if r == v) for v in range(n)]
     ranks = {s: i for i, s in enumerate(sorted(set(role)))}
     colors0 = [ranks[role[v]] for v in range(n)]
     return (tag, n) + _canon_search(n, g.edges, roots, colors0)
-
-
-@lru_cache(maxsize=1 << 16)
-def canonical_key(obj: GraphLike, max_vertices: int = _CANON_CAP) -> tuple:
-    """Hashable isomorphism invariant (complete for the supported sizes).
-
-    The key is ``(tag, n, edges, roots)``: the relabelled edges, sorted,
-    and the relabelled roots, so it holds the canonical form itself.
-    """
-    return _canon_key(obj, max_vertices)
 
 
 # the cached original, looked up by canonical_form even while a caller has
@@ -611,17 +603,13 @@ _cached_key = canonical_key
 
 
 @lru_cache(maxsize=1 << 16)
-def canonical_form(obj: GraphLike, max_vertices: int = _CANON_CAP) -> GraphLike:
+def canonical_form(obj: GraphLike) -> GraphLike:
     """Canonical relabelling: isomorphic inputs give equal outputs.
 
     Rebuilt from the key, so a graph whose key is cached is not searched
-    again.  The key lookup repeats the caller's arguments, because the key
-    cache tells ``(g,)`` from ``(g, 16)``.
+    again; the same vertex cap applies.
     """
-    if max_vertices == _CANON_CAP:
-        tag, n, edges, roots = _cached_key(obj)
-    else:
-        tag, n, edges, roots = _cached_key(obj, max_vertices)
+    tag, n, edges, roots = _cached_key(obj)
     ng = TestGraph(n, tuple(Edge(*e) for e in edges))
     if tag == "tg":
         return ng

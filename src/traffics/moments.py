@@ -72,13 +72,6 @@ def poly_power(a: Any, m: int) -> TrafficPolynomial:
 trace_closure = delta
 
 
-def _slot_cycle(m: int) -> tuple[list[str], TestGraph]:
-    """Slot labels and the m-cycle of tr(a_1 ... a_m): entry (i_j, i_{j+1})
-    of factor j is an edge from the later index vertex into the earlier one."""
-    slots = [f"slot{j}" for j in range(m)]
-    return slots, TestGraph(m, tuple(Edge((j + 1) % m, j, slots[j]) for j in range(m)))
-
-
 def _closed_sum(
     terms: Iterable[tuple[Any, TestGraph]], ltd_fn: Callable[[TestGraph], Number]
 ) -> Number:
@@ -126,7 +119,10 @@ def _cyclic_word_ltd(
     classes = Counter(
         min(w[i:] + w[:i] for i in range(m)) for w in product(*slot_ids)
     )
-    slots, cycle = _slot_cycle(m)
+    # the m-cycle of tr(a_1 ... a_m): entry (i_j, i_{j+1}) of factor j is an
+    # edge from the later index vertex into the earlier one
+    slots = [f"slot{j}" for j in range(m)]
+    cycle = TestGraph(m, tuple(Edge((j + 1) % m, j, slots[j]) for j in range(m)))
 
     def closed() -> Iterator[tuple[Any, TestGraph]]:
         for word, count in classes.items():
@@ -142,17 +138,13 @@ def _cyclic_word_ltd(
 
 
 def traffic_moment(
-    a: Any,
-    m: int,
-    ltd_fn: Optional[Callable[[TestGraph], Number]] = None,
-    *,
-    max_order: int = MAX_ORDER,
+    a: Any, m: int, ltd_fn: Optional[Callable[[TestGraph], Number]] = None
 ) -> Number:
     """Limit of E (1/n) tr a(A)^m under the given injective evaluator
     (Wigner by default).  Exact when the coefficients and the evaluator are.
     """
-    if not 0 <= m <= max_order:
-        raise ValueError(f"order {m} outside [0, {max_order}]")
+    if not 0 <= m <= MAX_ORDER:
+        raise ValueError(f"order {m} outside [0, {MAX_ORDER}]")
     ltd = ltd_fn or wigner_ltd
     poly = _as_poly(a)
     if m == 0:
@@ -165,24 +157,6 @@ def require_moment_support(model: Any) -> None:
     if model_support(model) != "double_tree":
         raise ValueError("moment sums scan double-tree quotients only, so every label "
                          "needs a band regime other than fixed")
-
-
-def word_trace_terms(
-    elements: Sequence[Any],
-) -> tuple[tuple[Any, TestGraph], ...]:
-    """Expand E (1/n) tr(a_1 a_2 ... a_m) into (coefficient, test graph)
-    pairs by substituting each element into its own cycle edge."""
-    m = len(elements)
-    if not 1 <= m <= MAX_ORDER:
-        raise ValueError(f"word length {m} outside [1, {MAX_ORDER}]")
-    polys = [_as_poly(a) for a in elements]
-    slots, cycle = _slot_cycle(m)
-    for p in polys:
-        for mono, _ in p.terms:
-            clash = set(slots) & set(mono.graph.labels())
-            if clash:
-                raise ValueError(f"labels {sorted(clash)} collide with the cycle slots")
-    return substitute_graph(cycle, dict(zip(slots, polys)))
 
 
 def mixed_moment_ltd(

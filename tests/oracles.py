@@ -11,7 +11,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from traffics.graphs import TestGraph
+from traffics.graphs import Edge, TestGraph, substitute_graph
 from traffics.partitions import enumerate_partitions, pair_partitions
 
 
@@ -83,6 +83,16 @@ def naive_graph_matrix(T: TestGraph, v_out: int, v_in: int, mats) -> np.ndarray:
                 val = val * a[..., phi[e.tar], phi[e.src]]
         out[..., phi[v_out], phi[v_in]] += val
     return out
+
+
+def word_trace_terms(elements) -> tuple:
+    """E (1/n) tr(a_1 ... a_m) as (coefficient, closed graph) pairs: a_j
+    substituted into edge j of the directed m-cycle, the edge from vertex
+    j + 1 into vertex j.  The elements must not use the labels ``slot<j>``."""
+    m = len(elements)
+    slots = [f"slot{j}" for j in range(m)]
+    cycle = TestGraph(m, tuple(Edge((j + 1) % m, j, slots[j]) for j in range(m)))
+    return substitute_graph(cycle, dict(zip(slots, elements)))
 
 
 def mc_cut_volume(T: TestGraph, proportions, points: int, seed: int = 0) -> float:

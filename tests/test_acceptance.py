@@ -273,7 +273,7 @@ def test_markov_moments_match_spectral_monte_carlo():
     n, samples = 500, 100
     sampled = {m: [] for m in range(1, 9)}
     for i in range(samples):
-        w = sample_rbm(n, WIGNER, rng=stream(41, i))
+        w = sample_rbm(n, WIGNER, None, stream(41, i))
         lam = np.linalg.eigvalsh(markov(1, -1, w))
         for m in sampled:
             sampled[m].append(np.mean(lam ** m))
@@ -387,7 +387,7 @@ def test_degree_moment_closed_forms_at_half_width():
     rng = stream(21)
     draws = {m: [] for m in (1, 2, 3, 4)}
     for _ in range(100):
-        d = np.diag(degree_matrix(sample_rbm(1000, prof, rng=rng)))
+        d = np.diag(degree_matrix(sample_rbm(1000, prof, None, rng)))
         for m in draws:
             draws[m].append(np.mean(d ** m))
     zs = []

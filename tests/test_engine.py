@@ -19,7 +19,7 @@ from traffics.engine import (
     trace_injective_direct,
     trace_test_graph,
 )
-from traffics.ensembles import BandProfile, MatrixModel, stream
+from traffics.ensembles import BandProfile, EntrySpec, MatrixModel, stream
 from traffics.graphs import (
     Edge,
     GraphMonomial,
@@ -348,6 +348,18 @@ def test_z_score():
     e = Estimate(mean=1.5, stderr=0.25, samples=10, n=4)
     assert e.z(1.0) == pytest.approx(2.0)
     assert Estimate(1.0, 0.0, 1, 4).z(1.0) == 0.0
+
+
+@pytest.mark.parametrize("n", [50, 100])
+def test_zero_stderr_z_forgives_rounding_only(n):
+    # (1/n) tr X^2 with +-1 entries is the same at every draw, but the mean
+    # of the samples need not be 1.0 to the last bit
+    T = TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "x")))
+    model = MatrixModel({"x": (BandProfile.parse("wigner"), EntrySpec.rademacher())})
+    est = estimate_traffic_state(T, model, n, 20, seed=3)
+    assert est.stderr == 0 and abs(est.mean - 1) < 1e-15
+    assert est.z(1) == 0.0
+    assert est.z(2) == float("inf")
 
 
 def test_central_moment_validates_order():

@@ -296,6 +296,16 @@ def test_canonical_key_sees_roots():
     assert canonical_key(GraphMonomial(g, 0, 1)) != canonical_key(g)
 
 
+def test_canonical_forms_stop_at_sixteen_vertices():
+    def path(n):
+        return TestGraph(n, tuple(Edge(v, v + 1, "x") for v in range(n - 1)))
+
+    assert canonical_form(path(16)).n_vertices == 16
+    for fn in (canonical_key, canonical_form):
+        with pytest.raises(ValueError, match="at most 16 vertices, got 17"):
+            fn(path(17))
+
+
 @given(connected_graphs(), st.randoms(use_true_random=False))
 def test_canonical_key_relabel_invariant(g, rnd):
     perm = list(range(g.n_vertices))
