@@ -459,7 +459,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _add_sampling(sub: argparse.ArgumentParser) -> None:
     """Flags of the subcommands that draw matrices."""
-    sub.add_argument("--threads", help="sampling threads (or TRAFFICS_THREADS)")
+    sub.add_argument("--threads", help="sampling threads (or TRAFFICS_THREADS; "
+                     "default: the cores this process may run on)")
     sub.add_argument("--seed", help="master seed for sampling streams")
 
 

@@ -20,20 +20,26 @@ batch axes of the bound matrices:
   one side;
 * degree >= 3: a general einsum step over every factor at the vertex.
 
+The order and the kind of every step depend on the graph alone (``_plan``).
 Degree-1 results are keyed by a rooted-subtree code, so the Mobius terms of
 one injective trace, evaluated on the same draws, share their pendant sums.
-A general step whose ``batch x n^degree`` output would exceed
-``DEFAULT_ENUM_LIMIT`` entries raises ``ValueError`` before it allocates.
-Direct enumeration of the maps is kept only as a test oracle.
+A plan with a general step whose ``batch x n^degree`` output would exceed
+``DEFAULT_ENUM_LIMIT`` entries raises ``ValueError``; an estimate checks its
+plans before it draws anything.  Direct enumeration of the maps is kept only
+as a test oracle.
 
 Traffic states: ``tau[T] = E (1/n) tr T(A)`` is estimated by Monte Carlo with
 one counter-based stream per sample index, so results are byte-identical for
-a given (seed, n, samples) regardless of batching or thread count.
+a given (seed, n, samples) regardless of batching or thread count.  Samples
+are drawn straight into the stacked arrays of their chunk.  By default the
+estimate uses every core the process may run on: a thread pool draws, and
+the calling thread contracts one chunk while the pool draws the next.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,6 +53,9 @@ from .graphs import GraphMonomial, TestGraph, canonical_form, canonical_key, quo
 from .partitions import MAX_GROUND, enumerate_partitions, mobius_zero
 
 DEFAULT_ENUM_LIMIT = 10**8
+# a sample holding at least this many matrix entries is drawn as its own pool
+# task; smaller ones are drawn a chunk at a time (see ``_sample_values``)
+SAMPLE_TASK_ENTRIES = 2**18
 
 
 def _bindings(labels: Sequence[str], matrices: Any) -> dict[str, np.ndarray]:
@@ -174,14 +183,14 @@ class _Folded:
     so the step that consumes a bundle builds it in the orientation it
     needs.  Rank >= 3 results of general steps live in ``hypers``.  Tokens
     are ``(label, star)`` for edges of the graph and None for computed
-    factors; a weight carries the code of the pendant it came from.
+    factors; a weight carries the code of the pendant it came from.  Which
+    vertex goes next, and with which neighbours, comes from :func:`_plan`.
     """
 
     def __init__(self, g: TestGraph, mats: dict[str, np.ndarray]):
         self.weights: dict[int, list] = {v: [] for v in range(g.n_vertices)}
         self.pairs: dict[tuple[int, int], list] = {}
         self.hypers: list[tuple[np.ndarray, tuple[int, ...]]] = []
-        self.nbrs: dict[int, set[int]] = {v: set() for v in range(g.n_vertices)}
         conj: dict[str, np.ndarray] = {}
         for e in g.edges:
             m = mats[e.label]
@@ -201,42 +210,27 @@ class _Folded:
             self.pairs.setdefault(_pair(*axes), []).append((arr, axes[0], tok))
         else:
             self.hypers.append((arr, axes))
-        for a in axes:
-            self.nbrs[a].update(b for b in axes if b != a)
 
-    def _drop(self, v: int) -> None:
-        for u in self.nbrs.pop(v):
-            self.nbrs[u].discard(v)
-
-    def degree(self, v: int) -> int:
-        return len(self.nbrs[v])
-
-    def eliminate(self, v: int, ctx: _Bound) -> Union[int, np.ndarray, None]:
-        """Sum out v; returns the scalar factor when v had no neighbours."""
-        deg = len(self.nbrs[v])
-        if any(v in axes for _, axes in self.hypers) or deg >= 3:
-            size = math.prod(ctx.batch) * ctx.n**deg
-            if size > DEFAULT_ENUM_LIMIT:
-                raise ValueError(
-                    f"a degree-{deg} contraction step needs {size} entries, "
-                    f"over the limit {DEFAULT_ENUM_LIMIT}"
-                )
-            self._general(v)
-        elif deg == 2:
-            self._bridge(v)
-        elif deg == 1:
-            self._pendant(v, ctx.pendants)
+    def eliminate(
+        self, v: int, nb: tuple[int, ...], general: bool, ctx: _Bound
+    ) -> Union[int, np.ndarray, None]:
+        """Sum out v, whose neighbours are ``nb``; returns the scalar factor
+        when v had none."""
+        if general:
+            self._general(v, nb)
+        elif len(nb) == 2:
+            self._bridge(v, *nb)
+        elif nb:
+            self._pendant(v, nb[0], ctx.pendants)
         else:
-            self.nbrs.pop(v)
             ops: list = []
             for w, _ in self.weights.pop(v):
                 ops += [w, [_E, 0]]
             return np.einsum(*ops, [_E]) if ops else ctx.n  # n: v is free in every map
         return None
 
-    def _pendant(self, v: int, pendants: dict) -> None:
+    def _pendant(self, v: int, u: int, pendants: dict) -> None:
         # sum_v B[u, v] w[v] straight into a vector on u: no n x n temporary
-        (u,) = self.nbrs[v]
         bundle = self.pairs.pop(_pair(u, v))
         weights = self.weights.pop(v)
         code = _pendant_code(bundle, u, weights)
@@ -245,24 +239,20 @@ class _Folded:
             vec = np.einsum(*_operands(bundle, u, [w for w, _ in weights]), [_E, 0])
             if code is not None:
                 pendants[code] = vec
-        self._drop(v)
         self.weights[u].append((vec, code))
 
-    def _bridge(self, v: int) -> None:
+    def _bridge(self, v: int, u: int, w: int) -> None:
         # one matmul; v's weights ride on the side that is built anyway
-        u, w = sorted(self.nbrs[v])
         left, right = self.pairs.pop(_pair(u, v)), self.pairs.pop(_pair(v, w))
         weights = [x for x, _ in self.weights.pop(v)]
         if len(right) > len(left):
             a, b = _bundle(left, u), _bundle(right, v, weights, at=0)
         else:
             a, b = _bundle(left, u, weights, at=1), _bundle(right, v)
-        self._drop(v)
         self._add(a @ b, (u, w))
 
-    def _general(self, v: int) -> None:
-        nb = sorted(self.nbrs[v])
-        sub = {u: i for i, u in enumerate([v] + nb)}
+    def _general(self, v: int, nb: tuple[int, ...]) -> None:
+        sub = {u: i for i, u in enumerate((v,) + nb)}
         ops: list = []
         for u in nb:
             for arr, row, _ in self.pairs.pop(_pair(u, v), ()):
@@ -278,8 +268,7 @@ class _Folded:
         self.hypers = rest
         # pairwise BLAS contractions: 5-7x faster than one pass at degree 3-4
         merged = np.einsum(*ops, [_E] + [sub[u] for u in nb], optimize=True)
-        self._drop(v)
-        self._add(merged, tuple(nb))
+        self._add(merged, nb)
 
     def finish(self, keep: tuple[int, ...], n: int, batch: tuple) -> np.ndarray:
         """The array on ``keep`` once every other vertex is summed out."""
@@ -288,31 +277,79 @@ class _Folded:
         for a in keep:
             for w, _ in self.weights[a]:
                 ops += [w, [_E, sub[a]]]
-        if len(keep) == 2:
-            for arr, row, _ in self.pairs.get(_pair(*keep), ()):
+        linked = len(keep) == 2 and _pair(*keep) in self.pairs
+        if linked:
+            for arr, row, _ in self.pairs[_pair(*keep)]:
                 ops += [arr, [_E, sub[row], 1 - sub[row]]]
         for a in keep:
-            if not self.weights[a] and not self.nbrs[a]:
+            if not self.weights[a] and not linked:
                 ops += [np.ones(batch + (n,)), [_E, sub[a]]]
         return np.einsum(*ops, [_E] + list(range(len(keep))))
+
+
+def _plan(g: TestGraph, keep: tuple[int, ...]) -> list[tuple[int, tuple[int, ...], bool]]:
+    """The elimination steps of :func:`_contract`: ``(vertex, its sorted
+    neighbours, general step?)`` in order.
+
+    Vertices go smallest degree first, ties by index.  Eliminating v links
+    its neighbours pairwise; a step is general at degree >= 3 or when v lies
+    in the rank >= 3 result of an earlier general step.  All of it depends
+    on the adjacency alone, so the plan, and the size check on it, come
+    before any matrix is drawn.
+    """
+    nbrs: dict[int, set[int]] = {v: set() for v in range(g.n_vertices)}
+    for e in g.edges:
+        if e.src != e.tar:
+            nbrs[e.src].add(e.tar)
+            nbrs[e.tar].add(e.src)
+    hypers: list[tuple[int, ...]] = []
+    live = [v for v in range(g.n_vertices) if v not in keep]
+    steps = []
+    while live:
+        v = min(live, key=lambda u: (len(nbrs[u]), u))
+        live.remove(v)
+        nb = tuple(sorted(nbrs.pop(v)))
+        general = len(nb) >= 3 or any(v in axes for axes in hypers)
+        if general:
+            hypers = [axes for axes in hypers if v not in axes]
+            if len(nb) >= 3:
+                hypers.append(nb)
+        for u in nb:
+            nbrs[u].discard(v)
+            nbrs[u].update(w for w in nb if w != u)
+        steps.append((v, nb, general))
+    return steps
+
+
+def _check_size(steps: list, n: int, batch: tuple) -> None:
+    """Refuse a plan whose general step would output more than
+    ``DEFAULT_ENUM_LIMIT`` entries over ``batch``."""
+    for _, nb, general in steps:
+        if not general:
+            continue
+        size = math.prod(batch) * n ** len(nb)
+        if size > DEFAULT_ENUM_LIMIT:
+            raise ValueError(
+                f"a degree-{len(nb)} contraction step needs {size} entries, "
+                f"over the limit {DEFAULT_ENUM_LIMIT}"
+            )
 
 
 def _contract(g: TestGraph, ctx: _Bound, keep: tuple[int, ...]) -> np.ndarray:
     """Sum over all maps phi, returning an array indexed by phi on ``keep``.
 
-    Vertices go smallest degree first.  Degrees 0, 1 and 2 have their own
-    kernels (a sum, a one-pass vector, one matmul); larger ones take a
-    general einsum step, which raises ``ValueError`` when its output would
-    exceed ``DEFAULT_ENUM_LIMIT`` entries.
+    Follows :func:`_plan`.  Degrees 0, 1 and 2 have their own kernels (a
+    sum, a one-pass vector, one matmul); larger ones take a general einsum
+    step.  A plan whose general step would exceed ``DEFAULT_ENUM_LIMIT``
+    entries raises ``ValueError`` before anything is computed.
     """
     n, batch = ctx.n, ctx.batch
+    steps = _plan(g, keep)
+    _check_size(steps, n, batch)
     folded = _Folded(g, ctx.mats)
     scalar = np.ones(batch)
-    live = [v for v in range(g.n_vertices) if v not in keep]
-    while live:
-        v = min(live, key=lambda u: (folded.degree(u), u))
-        live.remove(v)
-        factor = folded.eliminate(v, ctx)
+    for v, nb, general in steps:
+        factor = folded.eliminate(v, nb, general, ctx)
         if factor is not None:
             scalar = scalar * factor
     if not keep:
@@ -431,6 +468,17 @@ def _chunk_size(n: int) -> int:
     return max(1, min(64, int(1.2e8 / (16 * max(n * n, 1)))))
 
 
+def _thread_count(threads: Optional[int]) -> int:
+    """``threads``, or the number of cores this process may run on if None."""
+    if threads is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
+    return threads
+
+
 def _sample_values(
     model: Any,
     labels: Sequence[str],
@@ -440,30 +488,75 @@ def _sample_values(
     threads: Optional[int],
     values: Callable[[dict[str, np.ndarray]], np.ndarray],
 ) -> np.ndarray:
-    """The Monte Carlo loop: draw sample i from ``stream(seed, i)``, stack the
-    draws of each chunk by label and map every chunk through ``values``."""
+    """The Monte Carlo loop: draw sample i from ``stream(seed, i)`` straight
+    into slot i of its chunk's stacked arrays, and map every chunk through
+    ``values`` on the calling thread.
+
+    With k > 1 threads, a pool of k - 1 draws chunk c+1 while ``values``
+    runs on chunk c, and the calling thread draws the tasks of a chunk that
+    the pool has not started once it needs that chunk.  A sample of at least
+    ``SAMPLE_TASK_ENTRIES`` matrix entries is one task; smaller samples are
+    drawn a chunk per task, and an estimate with one chunk of them is drawn
+    on the calling thread without a pool.  The stacked arrays of a finished
+    chunk take the draws of a later one, so ``values`` must return an array
+    that does not share their memory.
+    """
     from .ensembles import stream
 
-    def run_chunk(start: int, stop: int) -> np.ndarray:
-        # each draw is copied into its slot; ``draw`` keeps the previous
-        # sample's matrices alive while the next is drawn, and the last
-        # sample's through ``values(stacked)`` (a ``del`` cost wall time)
-        stacked: dict[str, np.ndarray] = {}
-        for k, i in enumerate(range(start, stop)):
-            draw = model.sample(n, stream(seed, i))
-            for lab in labels:
-                if k == 0:
-                    stacked[lab] = np.empty((stop - start,) + draw[lab].shape, draw[lab].dtype)
-                stacked[lab][k] = draw[lab]
-        return values(stacked)
-
+    dtypes = model.dtypes()
     size = _chunk_size(n)
     bounds = [(s, min(s + size, samples)) for s in range(0, samples, size)]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda se: run_chunk(*se), bounds))
-    else:
-        parts = [run_chunk(*se) for se in bounds]
+    per_sample = n * n * len(model.labels) >= SAMPLE_TASK_ENTRIES
+    workers = _thread_count(threads)
+
+    free: list[dict[str, np.ndarray]] = []  # only the last chunk is smaller than the first
+
+    def stack(start: int, stop: int) -> dict[str, np.ndarray]:
+        if free:
+            return {lab: a[: stop - start] for lab, a in free.pop().items()}
+        return {lab: np.empty((stop - start, n, n), dtypes[lab]) for lab in labels}
+
+    def draw(stacked: dict[str, np.ndarray], start: int, lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            model.sample(n, stream(seed, i), out={lab: a[i - start] for lab, a in stacked.items()})
+
+    parts = []
+    if workers == 1 or (len(bounds) == 1 and not per_sample):
+        for start, stop in bounds:
+            stacked = stack(start, stop)
+            draw(stacked, start, start, stop)
+            parts.append(values(stacked))
+            free.append(stacked)
+        return np.concatenate(parts)
+
+    pool = ThreadPoolExecutor(max_workers=workers - 1)
+
+    def submit(start: int, stop: int) -> tuple[dict[str, np.ndarray], list]:
+        stacked = stack(start, stop)
+        spans = [(i, i + 1) for i in range(start, stop)] if per_sample else [(start, stop)]
+        args = [(stacked, start, lo, hi) for lo, hi in spans]
+        return stacked, [(pool.submit(draw, *a), a) for a in args]
+
+    def settle(tasks: list) -> None:
+        # last first, so the caller and the pool meet in the middle
+        for f, a in reversed(tasks):
+            if f.cancel():
+                draw(*a)
+        for f, _ in tasks:
+            if not f.cancelled():
+                f.result()
+
+    try:
+        ahead = submit(*bounds[0])
+        for c in range(len(bounds)):
+            stacked, tasks = ahead
+            settle(tasks)
+            if c + 1 < len(bounds):
+                ahead = submit(*bounds[c + 1])
+            parts.append(values(stacked))
+            free.append(stacked)
+    finally:
+        pool.shutdown(cancel_futures=True)
     return np.concatenate(parts)
 
 
@@ -478,8 +571,7 @@ def _trace_values(
 ) -> np.ndarray:
     if n < 1 or samples < 1:
         raise ValueError(f"need n >= 1 and samples >= 1, got n={n}, samples={samples}")
-    if threads is not None and threads < 1:
-        raise ValueError(f"need threads >= 1, got {threads}")
+    _thread_count(threads)  # a bad count fails before any other work
     labels = T.labels()
     # Normalizing tr^0 by the injective-map count instead of n removes the
     # O(1/n) falling-factorial bias, so means are centered on the limit.
@@ -490,6 +582,10 @@ def _trace_values(
             return np.zeros(samples)
         for j in range(T.n_vertices):
             scale *= n / (n - j)
+    # an oversized contraction fails before any draw; the first chunk is the largest
+    batch = (min(_chunk_size(n), samples),)
+    for _, q in _injective_terms(T) if injective else [(1, T)]:
+        _check_size(_plan(q, ()), n, batch)
 
     def traces(stacked: dict[str, np.ndarray]) -> np.ndarray:
         # the Mobius terms share pendant sums through one context per chunk
@@ -521,9 +617,11 @@ def estimate_traffic_state(
 ) -> Estimate:
     """Estimate tau[T] = E (1/n) tr T(A) (or tau^0 with ``injective``).
 
-    ``model`` provides ``sample(n, rng) -> {label: matrix}``; each sample
-    index draws from its own stream of ``seed``.  Injective estimates carry
-    the n^|V| / (n)_|V| count correction (see ``_trace_values``).
+    ``model`` is a :class:`~traffics.ensembles.MatrixModel`; each sample
+    index draws from its own stream of ``seed``.  ``threads`` None uses
+    every core the process may run on (see ``_sample_values``).  Injective
+    estimates carry the n^|V| / (n)_|V| count correction (see
+    ``_trace_values``).
     """
     values = _trace_values(T, model, n, samples, seed, injective, threads)
     mean, stderr = _mean_stderr(values)

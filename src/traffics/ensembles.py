@@ -263,14 +263,18 @@ def _assemble(
     entry: Optional[EntrySpec],
     rng: np.random.Generator,
     profile: Optional[BandProfile] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Hermitian matrix in one pass over the draws.
+    """Hermitian matrix in one pass over the draws, written into ``out`` if
+    given (an ``n x n`` array of the entry law's dtype, which is returned).
 
     Draws the n(n-1)/2 off-diagonal values in ``triu_indices`` order, then
     the n diagonal ones, scales them by the ``profile``'s normalization if
     there is one, and writes them through the strict-upper-triangle mask of
     the matrix and, conjugated, of its transpose.  The entries outside the
-    profile's band are then cleared to +0.0 through one mask on both."""
+    profile's band are then cleared to +0.0 through one mask on both.  The
+    two triangles and the diagonal cover every entry, so ``out`` need not
+    be zeroed."""
     entry = entry if entry is not None else EntrySpec.gaussian()
     off = entry.sample_offdiag(rng, n * (n - 1) // 2)
     d = entry.sample_diag(rng, n)
@@ -280,7 +284,7 @@ def _assemble(
         d *= scale
     if np.iscomplexobj(off):
         off.real += 0.0  # zero real parts (beta = -1) are +0.0, as in the sum x + x^H
-    x = np.zeros((n, n), dtype=complex if np.iscomplexobj(off) else float)
+    x = np.empty((n, n), dtype=off.dtype) if out is None else out
     upper = ~np.tri(n, dtype=bool)
     x[upper] = off
     x.T[upper] = off.conj()
@@ -326,11 +330,14 @@ def markov(p: float, q: float, w: np.ndarray) -> np.ndarray:
     return p * w + q * degree_matrix(w)
 
 
-def sample_haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthogonal matrix via QR with sign correction."""
+def sample_haar_orthogonal(
+    n: int, rng: np.random.Generator, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Haar-distributed orthogonal matrix via QR with sign correction,
+    written into ``out`` (a float ``n x n`` array) if given."""
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return np.multiply(q, d / np.abs(d), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -340,22 +347,28 @@ class MatrixModel:
     """Assignment of an independent ensemble to each label.
 
     Values of ``assignments`` are a :class:`BandProfile` (Gaussian entries),
-    a ``(BandProfile, EntrySpec)`` pair, or the string ``"haar"``.  Sampling
-    draws labels in sorted order from a single stream, so a (seed, index)
-    pair pins the whole family.
+    a ``(BandProfile, EntrySpec)`` pair, or the string ``"haar"``; anything
+    else is a ``ValueError`` naming the label.  Sampling draws labels in
+    sorted order from a single stream, so a (seed, index) pair pins the
+    whole family.
     """
 
     def __init__(self, assignments: Mapping[str, Any]):
         parts = []
         for label in sorted(assignments):
             val = assignments[label]
+            if isinstance(val, BandProfile):
+                val = (val, EntrySpec.gaussian())
             if val == "haar":
                 parts.append((label, "haar", None, None))
-            elif isinstance(val, BandProfile):
-                parts.append((label, "rbm", val, EntrySpec.gaussian()))
+            elif (isinstance(val, tuple) and len(val) == 2
+                  and isinstance(val[0], BandProfile) and isinstance(val[1], EntrySpec)):
+                parts.append((label, "rbm") + val)
             else:
-                profile, entry = val
-                parts.append((label, "rbm", profile, entry))
+                raise ValueError(
+                    f"label {label!r} is assigned {val!r}; expected 'haar', a BandProfile "
+                    "or a (BandProfile, EntrySpec) pair"
+                )
         self.parts = tuple(parts)
 
     @property
@@ -368,11 +381,22 @@ class MatrixModel:
     def entries(self) -> dict[str, EntrySpec]:
         return {lab: ent for lab, kind, _, ent in self.parts if kind == "rbm"}
 
-    def sample(self, n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        out = {}
+    def dtypes(self) -> dict[str, type]:
+        """Dtype of each label's draws: float for Haar and real entry laws."""
+        return {lab: float if kind == "haar" or ent.is_real else complex
+                for lab, kind, _, ent in self.parts}
+
+    def sample(
+        self, n: int, rng: np.random.Generator, out: Optional[Mapping[str, np.ndarray]] = None
+    ) -> dict[str, np.ndarray]:
+        """One draw of every label.  A label with an array in ``out`` (``n x n``,
+        of the label's :meth:`dtypes` entry) is drawn into it; that array is
+        what the returned dict holds for it."""
+        draws = {}
         for label, kind, profile, entry in self.parts:
+            slot = None if out is None else out.get(label)
             if kind == "haar":
-                out[label] = sample_haar_orthogonal(n, rng)
+                draws[label] = sample_haar_orthogonal(n, rng, out=slot)
             else:
-                out[label] = sample_rbm(n, profile, entry, rng)
-        return out
+                draws[label] = _assemble(n, entry, rng, profile, out=slot)
+        return draws

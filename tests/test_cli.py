@@ -421,10 +421,12 @@ def test_fixed_band_mixed_with_another_regime_is_refused(capsys, command, flags)
     }
 
 
-def test_oversized_contraction_is_a_user_error(capsys):
+def test_oversized_contraction_is_a_user_error(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(MatrixModel, "sample", lambda *args, **kw: calls.append(args))
     k6 = "; ".join(f"e {u} {v} x" for u in range(6) for v in range(u + 1, 6))
     code, out, err = run(capsys, "estimate", "--graph", k6, "--n", "200", "--samples", "2")
-    assert code == 2 and out == ""
+    assert code == 2 and out == "" and calls == []
     record = json.loads(err)
     assert record["error"] == "ValueError"
     assert "degree-5 contraction step" in record["message"]

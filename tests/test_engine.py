@@ -323,6 +323,45 @@ def test_estimates_are_thread_count_invariant():
         assert len({(r.mean, r.stderr) for r in runs}) == 1
 
 
+@pytest.mark.parametrize("samples", [30, 130])
+def test_pooled_draws_are_thread_count_invariant(monkeypatch, samples):
+    # every sample its own pool task, even at n=40
+    monkeypatch.setattr(engine, "SAMPLE_TASK_ENTRIES", 0)
+    T = TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "x")))
+    runs = [
+        estimate_traffic_state(T, _wigner_model(), 40, samples, seed=5, injective=True,
+                               threads=k)
+        for k in (None, 1, 2, 4)
+    ]
+    assert len({(r.mean, r.stderr) for r in runs}) == 1
+
+
+def test_large_two_label_draws_are_thread_count_invariant():
+    # n=512 with two labels: every sample is its own pool task
+    n, samples = 512, 6
+    assert 2 * n * n >= engine.SAMPLE_TASK_ENTRIES
+    model = MatrixModel({
+        "x": (BandProfile.parse("proportional:1/2"), EntrySpec.gaussian(0.6j)),
+        "y": "haar",
+    })
+    T = TestGraph(3, (Edge(0, 1, "x"), Edge(1, 0, "x"), Edge(1, 2, "y"), Edge(2, 1, "y")))
+    runs = [
+        estimate_traffic_state(T, model, n, samples, seed=21, injective=True, threads=k)
+        for k in (1, 2, 3)
+    ]
+    assert len({(r.mean, r.stderr) for r in runs}) == 1
+
+
+@pytest.mark.parametrize("injective", [False, True])
+def test_oversized_contraction_is_refused_before_any_draw(monkeypatch, injective):
+    calls = []
+    monkeypatch.setattr(MatrixModel, "sample", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match="contraction step needs"):
+        estimate_traffic_state(_complete(6), _wigner_model(), 1000, 64, seed=0,
+                               injective=injective)
+    assert calls == []
+
+
 def test_estimates_depend_on_seed():
     T = TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "x")))
     a = estimate_traffic_state(T, _wigner_model(), 30, 20, seed=1)

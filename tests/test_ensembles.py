@@ -298,3 +298,45 @@ def test_model_sampling_is_label_order_independent():
 def test_model_rejects_unknown_assignment():
     with pytest.raises((TypeError, ValueError)):
         MatrixModel({"x": "spectral"}).sample(4, stream(0))
+
+
+@pytest.mark.parametrize("value", [
+    "ab",
+    "spectral",
+    (BandProfile.parse("wigner"), "gaussian"),
+], ids=["string", "unknown-name", "entry-not-a-spec"])
+def test_model_assignment_errors_name_the_label(value):
+    with pytest.raises(ValueError, match="label 'x' is assigned"):
+        MatrixModel({"x": value, "y": "haar"})
+
+
+def test_model_dtypes_follow_the_entry_law():
+    m = MatrixModel({
+        "h": "haar",
+        "r": (BandProfile.parse("fixed:1"), EntrySpec.rademacher()),
+        "g": BandProfile.parse("wigner"),
+        "c": (BandProfile.parse("wigner"), EntrySpec.gaussian(0.5j)),
+    })
+    assert m.dtypes() == {"c": complex, "g": float, "h": float, "r": float}
+    draws = m.sample(5, stream(2))
+    assert all(draws[lab].dtype == np.dtype(dt) for lab, dt in m.dtypes().items())
+
+
+def test_model_draws_into_given_slots_bit_for_bit():
+    m = MatrixModel({
+        "h": "haar",
+        "p": (BandProfile.parse("periodic-prop:1/4"), EntrySpec.gaussian(-1)),
+        "r": (BandProfile.parse("proportional:1/3"), EntrySpec.rademacher()),
+        "w": (BandProfile.parse("wigner"), EntrySpec.gaussian(0.3 + 0.4j)),
+    })
+    n = 11
+    fresh = m.sample(n, stream(8, 3))
+    # slots full of garbage: every entry must be written
+    slots = {lab: np.full((n, n), np.nan, dtype=dt) for lab, dt in m.dtypes().items()}
+    drawn = m.sample(n, stream(8, 3), out=slots)
+    for lab in m.labels:
+        assert drawn[lab] is slots[lab]
+        assert slots[lab].tobytes() == fresh[lab].tobytes()
+    # a label without a slot is drawn fresh, and the stream stays in step
+    partial = m.sample(n, stream(8, 3), out={"r": np.empty((n, n))})
+    assert all(partial[lab].tobytes() == fresh[lab].tobytes() for lab in m.labels)
