@@ -30,16 +30,19 @@ as a test oracle.
 
 Traffic states: ``tau[T] = E (1/n) tr T(A)`` is estimated by Monte Carlo with
 one counter-based stream per sample index, so results are byte-identical for
-a given (seed, n, samples) regardless of batching or thread count.  Samples
-are drawn straight into the stacked arrays of their chunk.  By default the
-estimate uses every core the process may run on: a thread pool draws, and
-the calling thread contracts one chunk while the pool draws the next.
+a given (seed, n, samples) regardless of batching or thread count.  The
+samples are split into tasks, one per large sample or one per chunk of small
+ones, and a task draws its samples straight into its thread's stacked arrays
+and contracts them on the same thread.  By default the estimate runs its
+tasks on every core the process may run on; ``ensembles.BLAS_LOCK`` keeps
+the threads from running multithreaded BLAS calls at once.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,12 +52,13 @@ from typing import Any, Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 # canonical_form and canonical_key stay importable here for perfbench/tracing.py
+from .ensembles import BLAS_LOCK, stream
 from .graphs import GraphMonomial, TestGraph, canonical_form, canonical_key, quotient, shape_sum
 from .partitions import MAX_GROUND, enumerate_partitions, mobius_zero
 
 DEFAULT_ENUM_LIMIT = 10**8
-# a sample holding at least this many matrix entries is drawn as its own pool
-# task; smaller ones are drawn a chunk at a time (see ``_sample_values``)
+# a sample holding at least this many matrix entries is drawn and contracted
+# as a task of its own; smaller ones a chunk at a time (see ``_sample_values``)
 SAMPLE_TASK_ENTRIES = 2**18
 
 
@@ -217,7 +221,7 @@ class _Folded:
         """Sum out v, whose neighbours are ``nb``; returns the scalar factor
         when v had none."""
         if general:
-            self._general(v, nb)
+            self._general(v, nb, ctx.batch)
         elif len(nb) == 2:
             self._bridge(v, *nb)
         elif nb:
@@ -249,9 +253,11 @@ class _Folded:
             a, b = _bundle(left, u), _bundle(right, v, weights, at=0)
         else:
             a, b = _bundle(left, u, weights, at=1), _bundle(right, v)
-        self._add(a @ b, (u, w))
+        with BLAS_LOCK:
+            ab = a @ b
+        self._add(ab, (u, w))
 
-    def _general(self, v: int, nb: tuple[int, ...]) -> None:
+    def _general(self, v: int, nb: tuple[int, ...], batch: tuple) -> None:
         sub = {u: i for i, u in enumerate((v,) + nb)}
         ops: list = []
         for u in nb:
@@ -266,9 +272,13 @@ class _Folded:
             else:
                 rest.append((arr, axes))
         self.hypers = rest
+        step = _step_batch(batch)
+        if step != batch:
+            ops[::2] = [np.broadcast_to(a, step[:1] + a.shape) for a in ops[::2]]
         # pairwise BLAS contractions: 5-7x faster than one pass at degree 3-4
-        merged = np.einsum(*ops, [_E] + [sub[u] for u in nb], optimize=True)
-        self._add(merged, nb)
+        with BLAS_LOCK:
+            merged = np.einsum(*ops, [_E] + [sub[u] for u in nb], optimize=True)
+        self._add(merged if step == batch else merged[0], nb)
 
     def finish(self, keep: tuple[int, ...], n: int, batch: tuple) -> np.ndarray:
         """The array on ``keep`` once every other vertex is summed out."""
@@ -321,13 +331,21 @@ def _plan(g: TestGraph, keep: tuple[int, ...]) -> list[tuple[int, tuple[int, ...
     return steps
 
 
+def _step_batch(batch: tuple) -> tuple:
+    """The batch a general step runs over.  numpy's pairwise einsum drops
+    length-1 batch axes and then rounds differently, so a batch of one
+    sample runs as a broadcast pair: each sample's bits do not depend on
+    the samples stacked with it."""
+    return (2,) + batch if batch and math.prod(batch) == 1 else batch
+
+
 def _check_size(steps: list, n: int, batch: tuple) -> None:
     """Refuse a plan whose general step would output more than
     ``DEFAULT_ENUM_LIMIT`` entries over ``batch``."""
     for _, nb, general in steps:
         if not general:
             continue
-        size = math.prod(batch) * n ** len(nb)
+        size = math.prod(_step_batch(batch)) * n ** len(nb)
         if size > DEFAULT_ENUM_LIMIT:
             raise ValueError(
                 f"a degree-{len(nb)} contraction step needs {size} entries, "
@@ -468,6 +486,12 @@ def _chunk_size(n: int) -> int:
     return max(1, min(64, int(1.2e8 / (16 * max(n * n, 1)))))
 
 
+def _task_size(n: int, model: Any) -> int:
+    """Samples per task of ``_sample_values``: a sample of at least
+    ``SAMPLE_TASK_ENTRIES`` matrix entries alone, smaller ones a chunk."""
+    return 1 if n * n * len(model.labels) >= SAMPLE_TASK_ENTRIES else _chunk_size(n)
+
+
 def _thread_count(threads: Optional[int]) -> int:
     """``threads``, or the number of cores this process may run on if None."""
     if threads is None:
@@ -488,76 +512,42 @@ def _sample_values(
     threads: Optional[int],
     values: Callable[[dict[str, np.ndarray]], np.ndarray],
 ) -> np.ndarray:
-    """The Monte Carlo loop: draw sample i from ``stream(seed, i)`` straight
-    into slot i of its chunk's stacked arrays, and map every chunk through
-    ``values`` on the calling thread.
+    """The Monte Carlo loop: split the samples into tasks, and in each task
+    draw sample i from ``stream(seed, i)`` into the stacked slots of the
+    thread it runs on and map them through ``values`` on that thread.
 
-    With k > 1 threads, a pool of k - 1 draws chunk c+1 while ``values``
-    runs on chunk c, and the calling thread draws the tasks of a chunk that
-    the pool has not started once it needs that chunk.  A sample of at least
-    ``SAMPLE_TASK_ENTRIES`` matrix entries is one task; smaller samples are
-    drawn a chunk per task, and an estimate with one chunk of them is drawn
-    on the calling thread without a pool.  The stacked arrays of a finished
-    chunk take the draws of a later one, so ``values`` must return an array
-    that does not share their memory.
+    A task holds ``_task_size(n, model)`` samples: one sample of at least
+    ``SAMPLE_TASK_ENTRIES`` matrix entries, or a chunk of smaller ones.  The
+    split depends on n and the model alone, and results are concatenated in
+    task order, so the thread count changes no bit.  With one task or one
+    thread the tasks run on the calling thread; otherwise a pool of at most
+    ``threads`` runs them.  Each thread allocates its slots once, sized to
+    the first task, and reuses them for its later tasks, so ``values`` must
+    return an array that does not share their memory.
     """
-    from .ensembles import stream
-
     dtypes = model.dtypes()
-    size = _chunk_size(n)
-    bounds = [(s, min(s + size, samples)) for s in range(0, samples, size)]
-    per_sample = n * n * len(model.labels) >= SAMPLE_TASK_ENTRIES
-    workers = _thread_count(threads)
+    size = _task_size(n, model)
+    tasks = [(s, min(s + size, samples)) for s in range(0, samples, size)]
+    local = threading.local()  # dropped with the call, so no slot outlives it
 
-    free: list[dict[str, np.ndarray]] = []  # only the last chunk is smaller than the first
-
-    def stack(start: int, stop: int) -> dict[str, np.ndarray]:
-        if free:
-            return {lab: a[: stop - start] for lab, a in free.pop().items()}
-        return {lab: np.empty((stop - start, n, n), dtypes[lab]) for lab in labels}
-
-    def draw(stacked: dict[str, np.ndarray], start: int, lo: int, hi: int) -> None:
-        for i in range(lo, hi):
+    def task(span: tuple[int, int]) -> np.ndarray:
+        start, stop = span
+        if not hasattr(local, "slots"):
+            shape = (min(size, samples), n, n)
+            local.slots = {lab: np.empty(shape, dtypes[lab]) for lab in labels}
+        stacked = {lab: a[: stop - start] for lab, a in local.slots.items()}
+        for i in range(start, stop):
             model.sample(n, stream(seed, i), out={lab: a[i - start] for lab, a in stacked.items()})
+        return values(stacked)
 
-    parts = []
-    if workers == 1 or (len(bounds) == 1 and not per_sample):
-        for start, stop in bounds:
-            stacked = stack(start, stop)
-            draw(stacked, start, start, stop)
-            parts.append(values(stacked))
-            free.append(stacked)
-        return np.concatenate(parts)
-
-    pool = ThreadPoolExecutor(max_workers=workers - 1)
-
-    def submit(start: int, stop: int) -> tuple[dict[str, np.ndarray], list]:
-        stacked = stack(start, stop)
-        spans = [(i, i + 1) for i in range(start, stop)] if per_sample else [(start, stop)]
-        args = [(stacked, start, lo, hi) for lo, hi in spans]
-        return stacked, [(pool.submit(draw, *a), a) for a in args]
-
-    def settle(tasks: list) -> None:
-        # last first, so the caller and the pool meet in the middle
-        for f, a in reversed(tasks):
-            if f.cancel():
-                draw(*a)
-        for f, _ in tasks:
-            if not f.cancelled():
-                f.result()
-
+    workers = min(_thread_count(threads), len(tasks))
+    if workers == 1:
+        return np.concatenate([task(t) for t in tasks])
+    pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        ahead = submit(*bounds[0])
-        for c in range(len(bounds)):
-            stacked, tasks = ahead
-            settle(tasks)
-            if c + 1 < len(bounds):
-                ahead = submit(*bounds[c + 1])
-            parts.append(values(stacked))
-            free.append(stacked)
+        return np.concatenate(list(pool.map(task, tasks)))
     finally:
         pool.shutdown(cancel_futures=True)
-    return np.concatenate(parts)
 
 
 def _trace_values(
@@ -582,8 +572,8 @@ def _trace_values(
             return np.zeros(samples)
         for j in range(T.n_vertices):
             scale *= n / (n - j)
-    # an oversized contraction fails before any draw; the first chunk is the largest
-    batch = (min(_chunk_size(n), samples),)
+    # an oversized contraction fails before any draw; the first task is the largest
+    batch = (min(_task_size(n, model), samples),)
     for _, q in _injective_terms(T) if injective else [(1, T)]:
         _check_size(_plan(q, ()), n, batch)
 

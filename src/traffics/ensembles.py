@@ -14,6 +14,7 @@ stream, so estimates are reproducible regardless of batching or thread count.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Optional, Union
@@ -21,6 +22,11 @@ from typing import Any, Mapping, Optional, Union
 import numpy as np
 
 Number = Union[int, float, Fraction]
+
+
+# held around every multithreaded BLAS or LAPACK call a sampling thread makes:
+# OpenBLAS already runs on every core, and two such calls at once oversubscribe them
+BLAS_LOCK = threading.Lock()
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -335,7 +341,9 @@ def sample_haar_orthogonal(
 ) -> np.ndarray:
     """Haar-distributed orthogonal matrix via QR with sign correction,
     written into ``out`` (a float ``n x n`` array) if given."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    g = rng.standard_normal((n, n))
+    with BLAS_LOCK:
+        q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     return np.multiply(q, d / np.abs(d), out=out)
 

@@ -1,6 +1,7 @@
 """Exact evaluation engine: graph evaluation, traces, injective traces,
 Monte Carlo plumbing."""
 
+import threading
 import warnings
 from itertools import combinations
 
@@ -27,6 +28,7 @@ from traffics.graphs import (
     col_op,
     concat_product,
     delta,
+    directed_cycle,
     edge_monomial,
     eta,
     quotient,
@@ -202,6 +204,30 @@ def test_batched_trace(rng):
         assert np.isclose(out[i], trace_test_graph(g, {"x": batch[i]}))
 
 
+_TWO_PAD_STAR = TestGraph(3, (Edge(0, 1, "x"), Edge(1, 0, "x"), Edge(0, 2, "x"), Edge(2, 0, "x")))
+
+
+@pytest.mark.parametrize("entry", ["real", "complex", "haar"])
+@pytest.mark.parametrize("kernel", ["pendant", "bridge", "general"])
+def test_chunk_boundaries_do_not_change_bits(entry, kernel):
+    # an estimate contracts its samples a task at a time: whole chunks, or one
+    # sample each, so each sample's value must not depend on its neighbours
+    T = {"pendant": _TWO_PAD_STAR, "bridge": directed_cycle(4), "general": _complete(4)}[kernel]
+    wigner = BandProfile.parse("wigner")
+    model = MatrixModel({"x": {
+        "real": (wigner, EntrySpec.gaussian(1)),
+        "complex": (wigner, EntrySpec.gaussian(0.6j)),
+        "haar": "haar",
+    }[entry]})
+    n = 9
+    stack = np.stack([model.sample(n, stream(3, i))["x"] for i in range(7)])
+    for trace in (trace_test_graph, trace_injective):
+        whole = trace(T, {"x": stack})
+        for cuts in ([0, 1, 2, 3, 4, 5, 6, 7], [0, 3, 7]):
+            parts = [trace(T, {"x": stack[a:b]}) for a, b in zip(cuts, cuts[1:])]
+            assert np.array_equal(np.concatenate(parts), whole)
+
+
 def test_loop_edges_evaluate_on_the_diagonal(rng):
     g = TestGraph(1, (Edge(0, 0, "x"),))
     a = rng.standard_normal((5, 5))
@@ -350,6 +376,41 @@ def test_large_two_label_draws_are_thread_count_invariant():
         for k in (1, 2, 3)
     ]
     assert len({(r.mean, r.stderr) for r in runs}) == 1
+
+
+def test_large_two_label_central_moments_are_thread_count_invariant():
+    n, samples = 512, 6
+    model = MatrixModel({
+        "x": (BandProfile.parse("proportional:1/2"), EntrySpec.gaussian(0.6j)),
+        "y": "haar",
+    })
+    T = TestGraph(3, (Edge(0, 1, "x"), Edge(1, 0, "x"), Edge(1, 2, "y"), Edge(2, 1, "y")))
+    runs = [
+        central_moment_estimate(T, model, n, samples, 2, seed=21, injective=True, threads=k)
+        for k in (1, 2, 3)
+    ]
+    assert len({(r.mean, r.stderr) for r in runs}) == 1
+
+
+def test_a_failing_task_stops_the_rest(monkeypatch):
+    n, samples, seed = 512, 64, 4
+    assert n * n >= engine.SAMPLE_TASK_ENTRIES  # every sample is a task of its own
+    real_sample = MatrixModel.sample
+    calls = []
+
+    def sample(self, n, rng, out=None):
+        calls.append(rng)
+        if rng.bit_generator.seed_seq.spawn_key == (2,):
+            raise ValueError("draw 2 failed")
+        return real_sample(self, n, rng, out=out)
+
+    monkeypatch.setattr(MatrixModel, "sample", sample)
+    T = TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "x")))
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="draw 2 failed"):
+        estimate_traffic_state(T, _wigner_model(), n, samples, seed, threads=2)
+    assert len(calls) < samples
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("injective", [False, True])
