@@ -37,6 +37,10 @@ def main(argv=None):
                     help="Monte Carlo points for the volume cross-check")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
+    if args.points < 1:
+        ap.error("--points must be at least 1")
+    if args.mc < 0:
+        ap.error("--mc must be at least 0")
 
     w = witness_graphs()
     star, s_graph, path = w["two_pad_star"], w["s_graph"], w["three_pad_path"]

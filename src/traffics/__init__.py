@@ -75,7 +75,6 @@ from .limits import (
     CactusReport,
     DoubleTreeReport,
     FixedBandLTD,
-    PiecewisePoly,
     catalan,
     classify_double_tree,
     classify_orthogonal_cactus,

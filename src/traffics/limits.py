@@ -22,8 +22,8 @@ dimension grows:
 
 ``ltd_trace`` turns any of these injective limits into the limit of tau[T]
 by summing it over the quotients of T, once per isomorphism class
-(``graphs.shape_sum``).  Cut integrals, closed forms and Mobius weights are
-exact (Fractions throughout); Monte Carlo enters only in the test suite.
+(``graphs.shape_sum``).  Cut integrals (integers on one grid), closed forms
+and Mobius weights are exact; Monte Carlo enters only in the test suite.
 """
 
 from __future__ import annotations
@@ -244,145 +244,88 @@ def forest_transform(T: TestGraph, regimes: RegimeAssignment) -> tuple[TestGraph
 
 
 # ---------------------------------------------------------------------------
-# exact piecewise polynomials and the cut integral
+# the cut integral, in integers on one grid
+#
+# A piecewise polynomial on [0, D] is a triple (breaks, pieces, den): integer
+# breaks from 0 to D, one integer coefficient list per piece (low degree
+# first, every piece the same length) and one positive denominator shared by
+# all pieces.
 
-def _poly_add(p: tuple, q: tuple) -> tuple:
-    n = max(len(p), len(q))
-    return tuple(
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
-    )
-
-
-def _poly_scale(p: tuple, a: Fraction) -> tuple:
-    return tuple(a * x for x in p)
-
-
-def _poly_mul(p: tuple, q: tuple) -> tuple:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return tuple(out)
-
-
-def _poly_eval(p: tuple, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
+def _horner(p: list[int], y: int) -> int:
+    acc = 0
+    for a in reversed(p):
+        acc = acc * y + a
     return acc
 
 
-def _poly_antideriv(p: tuple) -> tuple:
-    return (Fraction(0),) + tuple(Fraction(c, i + 1) for i, c in enumerate(p))
+def _taylor_shift(p: list[int], s: int) -> list[int]:
+    """Coefficients of p(y + s), by repeated synthetic division."""
+    q = list(p)
+    for i in range(len(q) - 1):
+        for k in range(len(q) - 2, i - 1, -1):
+            q[k] += s * q[k + 1]
+    return q
 
 
-def _poly_shift(p: tuple, s: Fraction) -> tuple:
-    """q with q(x) = p(x + s)."""
-    out = [Fraction(0)] * len(p)
-    for j, c in enumerate(p):
-        # expand c (x+s)^j
-        term = [Fraction(0)] * (j + 1)
-        for k in range(j + 1):
-            term[k] = c * math.comb(j, k) * s ** (j - k)
-        for k in range(j + 1):
-            out[k] += term[k]
-    return tuple(out)
+def _antiderivative(breaks: list[int], pieces: list[list[int]]) -> tuple[list[list[int]], int]:
+    """L times the continuous antiderivative vanishing at 0, with L = lcm(1..deg+1)."""
+    L = math.lcm(*range(1, len(pieces[0]) + 1))
+    out, acc = [], 0
+    for lo, hi, p in zip(breaks, breaks[1:], pieces):
+        a = [0] + [c * (L // (k + 1)) for k, c in enumerate(p)]
+        a[0] = acc - _horner(a, lo)
+        acc = _horner(a, hi)
+        out.append(a)
+    return out, L
 
 
-@dataclass(frozen=True)
-class PiecewisePoly:
-    """Exact piecewise polynomial on [0, 1] with Fraction coefficients.
+def _window(f: tuple, C: int, D: int) -> tuple:
+    """y -> integral of f over [y - C, y + C] clamped to [0, D], in grid units
+    (the caller owes the factor 1/D)."""
+    breaks, pieces, den = f
+    G, L = _antiderivative(breaks, pieces)
+    top = [_horner(G[-1], D)] + [0] * len(pieces[0])
+    cuts = sorted({0, D}.union(b + s for b in breaks for s in (C, -C) if 0 < b + s < D))
+    out = []
+    i = j = 0
+    # no piece of the result straddles a shifted break, so its left end
+    # locates the piece of G on either side of the window
+    for lo, hi in zip(cuts, cuts[1:]):
+        if lo + C >= D:
+            up = top
+        else:
+            while breaks[i + 1] <= lo + C:
+                i += 1
+            up = _taylor_shift(G[i], C)
+        if hi <= C:
+            out.append(up)
+            continue
+        while breaks[j + 1] <= lo - C:
+            j += 1
+        out.append([a - b for a, b in zip(up, _taylor_shift(G[j], -C))])
+    return cuts, out, den * L
 
-    ``breaks`` is an increasing tuple starting at 0 and ending at 1;
-    ``pieces[i]`` holds the coefficients (low degree first) on
-    [breaks[i], breaks[i+1]].
-    """
 
-    breaks: tuple[Fraction, ...]
-    pieces: tuple[tuple[Fraction, ...], ...]
-
-    @staticmethod
-    def one() -> "PiecewisePoly":
-        return PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(1),),))
-
-    def _on(self, breaks: tuple[Fraction, ...]) -> tuple[tuple, ...]:
-        """Pieces re-sampled on a refinement of the break grid."""
-        out = []
-        j = 0
-        for lo, hi in zip(breaks, breaks[1:]):
-            mid = (lo + hi) / 2
-            while not (self.breaks[j] <= mid <= self.breaks[j + 1]):
-                j += 1
-            out.append(self.pieces[j])
-        return tuple(out)
-
-    def _zip(self, other: "PiecewisePoly", op) -> "PiecewisePoly":
-        breaks = tuple(sorted(set(self.breaks) | set(other.breaks)))
-        a, b = self._on(breaks), other._on(breaks)
-        return PiecewisePoly(breaks, tuple(op(p, q) for p, q in zip(a, b)))
-
-    def __mul__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        return self._zip(other, _poly_mul)
-
-    def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        return self._zip(other, _poly_add)
-
-    def __sub__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        return self._zip(other, lambda p, q: _poly_add(p, _poly_scale(q, Fraction(-1))))
-
-    def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        if not 0 <= x <= 1:
-            raise ValueError("argument outside [0, 1]")
-        for i in range(len(self.pieces)):
-            if x <= self.breaks[i + 1]:
-                return _poly_eval(self.pieces[i], x)
-        return _poly_eval(self.pieces[-1], x)
-
-    def integral(self) -> Fraction:
-        total = Fraction(0)
-        for lo, hi, p in zip(self.breaks, self.breaks[1:], self.pieces):
-            anti = _poly_antideriv(p)
-            total += _poly_eval(anti, hi) - _poly_eval(anti, lo)
-        return total
-
-    def antiderivative(self) -> "PiecewisePoly":
-        """Continuous antiderivative F with F(0) = 0."""
-        pieces = []
-        acc = Fraction(0)
-        for lo, p in zip(self.breaks, self.pieces):
-            anti = _poly_antideriv(p)
-            const = acc - _poly_eval(anti, lo)
-            pieces.append(_poly_add(anti, (const,)))
-            hi = self.breaks[len(pieces)]
-            acc = _poly_eval(pieces[-1], hi)
-        return PiecewisePoly(self.breaks, tuple(pieces))
-
-    def compose_clamped(self, s: Fraction) -> "PiecewisePoly":
-        """g(x) = self(clamp(x + s, 0, 1)) as a piecewise polynomial on [0, 1]."""
-        cand = {Fraction(0), Fraction(1), -s, 1 - s}
-        cand.update(b - s for b in self.breaks)
-        breaks = tuple(sorted(c for c in cand if 0 <= c <= 1))
-        lo_val = _poly_eval(self.pieces[0], Fraction(0))
-        hi_val = _poly_eval(self.pieces[-1], Fraction(1))
-        pieces = []
-        for a, b in zip(breaks, breaks[1:]):
-            t = (a + b) / 2 + s
-            if t <= 0:
-                pieces.append((lo_val,))
-            elif t >= 1:
-                pieces.append((hi_val,))
-            else:
-                j = 0
-                while not (self.breaks[j] <= t <= self.breaks[j + 1]):
-                    j += 1
-                pieces.append(_poly_shift(self.pieces[j], s))
-        return PiecewisePoly(breaks, tuple(pieces))
-
-    def window(self, c: Fraction) -> "PiecewisePoly":
-        """g(x) = integral of self over [x-c, x+c] intersected with [0, 1]."""
-        F = self.antiderivative()
-        return F.compose_clamped(c) - F.compose_clamped(-c)
+def _times(f: tuple, g: tuple) -> tuple:
+    """Pointwise product on the merged breaks, reduced by the common gcd."""
+    (fb, fp, fd), (gb, gp, gd) = f, g
+    breaks = sorted(set(fb).union(gb))
+    pieces = []
+    i = j = 0
+    for lo in breaks[:-1]:
+        while fb[i + 1] <= lo:
+            i += 1
+        while gb[j + 1] <= lo:
+            j += 1
+        r = [0] * (len(fp[i]) + len(gp[j]) - 1)
+        for a, x in enumerate(fp[i]):
+            if x:
+                for b, y in enumerate(gp[j]):
+                    r[a + b] += x * y
+        pieces.append(r)
+    den = fd * gd
+    g = math.gcd(den, *(c for r in pieces for c in r))
+    return breaks, [[c // g for c in r] for r in pieces], den // g
 
 
 def _as_fraction(x) -> Fraction:
@@ -416,19 +359,24 @@ def cut_integral(T: TestGraph, proportions: Any) -> Fraction:
     """Exact volume of band-compatible vertex positions.
 
     For a double tree with pad proportions c, this is the integral over
-    [0,1]^V of the product over pads of 1{|x_u - x_v| <= c_pad}, computed by
-    eliminating skeleton leaves with exact piecewise polynomials.
+    [0,1]^V of the product over pads of 1{|x_u - x_v| <= c_pad}.  Skeleton
+    leaves are eliminated on the grid 1/D, D the lcm of the proportions'
+    denominators: with y = D x every pad width c D and every break is an
+    integer, so the elimination runs in plain integers, and the result is
+    one ``Fraction`` built at the end, divided by D^|V|.
     """
     rep = classify_double_tree(T)
     if not rep.is_double_tree:
         raise ValueError(f"cut integral needs a colored double tree: {rep.reason}")
     cs = _pad_proportions(rep, proportions)
+    D = math.lcm(*(c.denominator for c in cs.values()))
     n = T.n_vertices
-    adj: dict[int, list[tuple[int, Fraction]]] = {v: [] for v in range(n)}
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
     for (u, v), c in cs.items():
-        adj[u].append((v, c))
-        adj[v].append((u, c))
-    f = {v: PiecewisePoly.one() for v in range(n)}
+        C = c.numerator * (D // c.denominator)
+        adj[u].append((v, C))
+        adj[v].append((u, C))
+    f = {v: ([0, D], [[1]], 1) for v in range(n)}
     degree = {v: len(adj[v]) for v in range(n)}
     removed = set()
     leaves = [v for v in range(n) if degree[v] == 1]
@@ -437,16 +385,18 @@ def cut_integral(T: TestGraph, proportions: Any) -> Fraction:
         if u in removed or len(removed) == n - 1:
             continue
         removed.add(u)
-        for w, c in adj[u]:
+        for w, C in adj[u]:
             if w in removed:
                 continue
-            f[w] = f[w] * f[u].window(c)
+            f[w] = _times(f[w], _window(f[u], C, D))
             degree[w] -= 1
             if degree[w] == 1:
                 leaves.append(w)
             break
     (root,) = (v for v in range(n) if v not in removed)
-    return f[root].integral()
+    breaks, pieces, den = f[root]
+    G, L = _antiderivative(breaks, pieces)
+    return Fraction(_horner(G[-1], D), den * L * D**n)
 
 
 def norm_factor(T: TestGraph, proportions: Any) -> Fraction:

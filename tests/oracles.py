@@ -6,6 +6,9 @@ expectation from the pair-partition Gram matrix.  None of it shares code
 with the package internals it checks.
 """
 
+import math
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -106,6 +109,160 @@ def mc_cut_volume(T: TestGraph, proportions, points: int, seed: int = 0) -> floa
         c = float(proportions[e.label])
         ok &= np.abs(xs[e.src] - xs[e.tar]) <= c
     return float(np.mean(ok))
+
+
+def _poly_add(p: tuple, q: tuple) -> tuple:
+    n = max(len(p), len(q))
+    return tuple(
+        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
+    )
+
+
+def _poly_scale(p: tuple, a: Fraction) -> tuple:
+    return tuple(a * x for x in p)
+
+
+def _poly_mul(p: tuple, q: tuple) -> tuple:
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _poly_eval(p: tuple, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _poly_antideriv(p: tuple) -> tuple:
+    return (Fraction(0),) + tuple(Fraction(c, i + 1) for i, c in enumerate(p))
+
+
+def _poly_shift(p: tuple, s: Fraction) -> tuple:
+    """q with q(x) = p(x + s)."""
+    out = [Fraction(0)] * len(p)
+    for j, c in enumerate(p):
+        # expand c (x+s)^j
+        for k in range(j + 1):
+            out[k] += c * math.comb(j, k) * s ** (j - k)
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class PiecewisePoly:
+    """Exact piecewise polynomial on [0, 1] with Fraction coefficients.
+
+    ``breaks`` is an increasing tuple starting at 0 and ending at 1;
+    ``pieces[i]`` holds the coefficients (low degree first) on
+    [breaks[i], breaks[i+1]].
+    """
+
+    breaks: tuple[Fraction, ...]
+    pieces: tuple[tuple[Fraction, ...], ...]
+
+    @staticmethod
+    def one() -> "PiecewisePoly":
+        return PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(1),),))
+
+    def _on(self, breaks: tuple[Fraction, ...]) -> tuple[tuple, ...]:
+        """Pieces re-sampled on a refinement of the break grid."""
+        out = []
+        j = 0
+        for lo, hi in zip(breaks, breaks[1:]):
+            mid = (lo + hi) / 2
+            while not (self.breaks[j] <= mid <= self.breaks[j + 1]):
+                j += 1
+            out.append(self.pieces[j])
+        return tuple(out)
+
+    def _zip(self, other: "PiecewisePoly", op) -> "PiecewisePoly":
+        breaks = tuple(sorted(set(self.breaks) | set(other.breaks)))
+        a, b = self._on(breaks), other._on(breaks)
+        return PiecewisePoly(breaks, tuple(op(p, q) for p, q in zip(a, b)))
+
+    def __mul__(self, other: "PiecewisePoly") -> "PiecewisePoly":
+        return self._zip(other, _poly_mul)
+
+    def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
+        return self._zip(other, _poly_add)
+
+    def __sub__(self, other: "PiecewisePoly") -> "PiecewisePoly":
+        return self._zip(other, lambda p, q: _poly_add(p, _poly_scale(q, Fraction(-1))))
+
+    def __call__(self, x) -> Fraction:
+        x = Fraction(x)
+        if not 0 <= x <= 1:
+            raise ValueError("argument outside [0, 1]")
+        for i in range(len(self.pieces)):
+            if x <= self.breaks[i + 1]:
+                return _poly_eval(self.pieces[i], x)
+        return _poly_eval(self.pieces[-1], x)
+
+    def integral(self) -> Fraction:
+        total = Fraction(0)
+        for lo, hi, p in zip(self.breaks, self.breaks[1:], self.pieces):
+            anti = _poly_antideriv(p)
+            total += _poly_eval(anti, hi) - _poly_eval(anti, lo)
+        return total
+
+    def antiderivative(self) -> "PiecewisePoly":
+        """Continuous antiderivative F with F(0) = 0."""
+        pieces = []
+        acc = Fraction(0)
+        for lo, p in zip(self.breaks, self.pieces):
+            anti = _poly_antideriv(p)
+            const = acc - _poly_eval(anti, lo)
+            pieces.append(_poly_add(anti, (const,)))
+            hi = self.breaks[len(pieces)]
+            acc = _poly_eval(pieces[-1], hi)
+        return PiecewisePoly(self.breaks, tuple(pieces))
+
+    def compose_clamped(self, s: Fraction) -> "PiecewisePoly":
+        """g(x) = self(clamp(x + s, 0, 1)) as a piecewise polynomial on [0, 1]."""
+        cand = {Fraction(0), Fraction(1), -s, 1 - s}
+        cand.update(b - s for b in self.breaks)
+        breaks = tuple(sorted(c for c in cand if 0 <= c <= 1))
+        lo_val = _poly_eval(self.pieces[0], Fraction(0))
+        hi_val = _poly_eval(self.pieces[-1], Fraction(1))
+        pieces = []
+        for a, b in zip(breaks, breaks[1:]):
+            t = (a + b) / 2 + s
+            if t <= 0:
+                pieces.append((lo_val,))
+            elif t >= 1:
+                pieces.append((hi_val,))
+            else:
+                j = 0
+                while not (self.breaks[j] <= t <= self.breaks[j + 1]):
+                    j += 1
+                pieces.append(_poly_shift(self.pieces[j], s))
+        return PiecewisePoly(breaks, tuple(pieces))
+
+    def window(self, c: Fraction) -> "PiecewisePoly":
+        """g(x) = integral of self over [x-c, x+c] intersected with [0, 1]."""
+        F = self.antiderivative()
+        return F.compose_clamped(c) - F.compose_clamped(-c)
+
+
+def cut_integral_reference(T: TestGraph, proportions) -> Fraction:
+    """Volume of {x in [0,1]^V : |x_u - x_v| <= c for every pad uv} of a
+    double tree T, by eliminating skeleton leaves with Fraction piecewise
+    polynomials on [0, 1].  ``proportions`` is one number or a label map."""
+    adj = {v: {} for v in range(T.n_vertices)}
+    for e in T.edges:
+        c = proportions[e.label] if isinstance(proportions, Mapping) else proportions
+        adj[e.src][e.tar] = adj[e.tar][e.src] = Fraction(c)
+    f = {v: PiecewisePoly.one() for v in adj}
+    while len(adj) > 1:
+        u = next(v for v, nbrs in adj.items() if len(nbrs) == 1)
+        ((w, c),) = adj.pop(u).items()
+        del adj[w][u]
+        f[w] = f[w] * f.pop(u).window(c)
+    (root,) = adj
+    return f[root].integral()
 
 
 def forest_components(n_vertices: int, undirected_edges) -> int:

@@ -3,6 +3,7 @@ band regimes, fixed band widths and the orthogonal cactus rule."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from traffics.ensembles import BandProfile, EntrySpec, MatrixModel
 from traffics.graphs import Edge, TestGraph, canonical_key, directed_cycle, quotient
+from traffics.independence import build_double_tree_corpus
 from traffics.limits import (
-    PiecewisePoly,
+    _horner,
+    _taylor_shift,
+    _window,
     catalan,
     classify_double_tree,
     classify_orthogonal_cactus,
@@ -36,6 +40,8 @@ from traffics.limits import (
 from traffics.partitions import enumerate_partitions
 
 from oracles import (
+    PiecewisePoly,
+    cut_integral_reference,
     double_factorial_odd,
     haar_estimator_mean,
     haar_tau0_exact,
@@ -201,7 +207,8 @@ def test_rbm_under_wigner_regimes_is_wigner_ltd(g, bx, by):
 
 
 # ---------------------------------------------------------------------------
-# piecewise polynomials and cut integrals
+# piecewise polynomials and cut integrals (PiecewisePoly is the Fraction
+# oracle; the integer kernel behind cut_integral is checked against it)
 
 def test_piecewise_unit():
     one = PiecewisePoly.one()
@@ -240,6 +247,47 @@ def test_antiderivative_recovers_integral():
     F = f.antiderivative()
     assert F(Fraction(0)) == 0
     assert F(Fraction(1)) == f.integral()
+
+
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=6), st.integers(-30, 30),
+       st.integers(-30, 30))
+def test_taylor_shift_is_a_translate(p, s, y):
+    assert _horner(_taylor_shift(p, s), y) == _horner(p, y + s)
+
+
+@given(st.integers(1, 40), st.data())
+def test_integer_window_of_unit_is_overlap_length(D, data):
+    C = data.draw(st.integers(1, D))
+    y = data.draw(st.integers(0, D))
+    breaks, pieces, den = _window(([0, D], [[1]], 1), C, D)
+    assert breaks[0] == 0 and breaks[-1] == D and den == 1
+    for lo, hi, p in zip(breaks, breaks[1:], pieces):
+        if lo <= y <= hi:
+            assert _horner(p, y) == min(y + C, D) - max(y - C, 0)
+
+
+def test_cut_integral_matches_the_oracle_on_the_max_pads_4_corpus():
+    # each label draws c = 1, the float 0.3 or a rational with a denominator
+    # up to 10^6, so the grid D runs from 1 to about 2^54 * 10^12
+    rng = random.Random(14)
+
+    def proportion():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return 1
+        if kind == 1:
+            return 0.3
+        q = rng.randint(1, 10**6)
+        return Fraction(rng.randint(1, q), q)
+
+    corpus = [g for g in build_double_tree_corpus(4, ("x", "y"))
+              if classify_double_tree(g).is_double_tree]
+    assert len(corpus) > 1000
+    for g in corpus:
+        props = {"x": proportion(), "y": proportion()}
+        got, want = cut_integral(g, props), cut_integral_reference(g, props)
+        assert type(got) is Fraction and type(want) is Fraction
+        assert got == want, (g, props)
 
 
 def test_single_pad_volume():

@@ -7,6 +7,7 @@ import importlib.util
 import os
 
 from traffics import engine, graphs, limits, moments
+from traffics.graphs import Edge, TestGraph
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -22,15 +23,18 @@ def _load(name):
 def test_tracer_installs_and_restores_every_name():
     tracing = _load("tracing")
     originals = (engine.trace_test_graph, graphs.canonical_key, moments.ltd_trace,
-                 limits.double_tree_quotients)
+                 limits.double_tree_quotients, limits.cut_integral)
     tracer = tracing.Tracer()
     try:
         tracer.install()
         assert engine.trace_test_graph is not originals[0]
+        pad = TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "x")))
+        assert limits.cut_probability(pad, 1) == 1
+        assert [span[0] for span in tracer.spans] == ["limits.cut_integral"]
     finally:
         assert tracer.uninstall() is True
     assert (engine.trace_test_graph, graphs.canonical_key, moments.ltd_trace,
-            limits.double_tree_quotients) == originals
+            limits.double_tree_quotients, limits.cut_integral) == originals
 
 
 def test_every_workload_passes_its_checks_at_its_default_seed():
