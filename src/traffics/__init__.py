@@ -19,14 +19,10 @@ from .engine import (
 from .ensembles import (
     BandProfile,
     EntrySpec,
-    Law,
     MatrixModel,
     band_mask,
     markov,
     sample_haar_orthogonal,
-    sample_hermitian,
-    sample_rbm,
-    sample_wigner,
     stream,
 )
 from .graphs import (
@@ -74,7 +70,6 @@ from .independence import (
 from .limits import (
     CactusReport,
     DoubleTreeReport,
-    FixedBandLTD,
     catalan,
     classify_double_tree,
     classify_orthogonal_cactus,

@@ -503,6 +503,11 @@ def _thread_count(threads: Optional[int]) -> int:
     return threads
 
 
+def _check_sizes(n: int, samples: int) -> None:
+    if n < 1 or samples < 1:
+        raise ValueError(f"need n >= 1 and samples >= 1, got n={n}, samples={samples}")
+
+
 def _sample_values(
     model: Any,
     labels: Sequence[str],
@@ -523,8 +528,10 @@ def _sample_values(
     thread the tasks run on the calling thread; otherwise a pool of at most
     ``threads`` runs them.  Each thread allocates its slots once, sized to
     the first task, and reuses them for its later tasks, so ``values`` must
-    return an array that does not share their memory.
+    return an array that does not share their memory.  Bad sizes fail before
+    any draw.
     """
+    _check_sizes(n, samples)
     dtypes = model.dtypes()
     size = _task_size(n, model)
     tasks = [(s, min(s + size, samples)) for s in range(0, samples, size)]
@@ -559,8 +566,7 @@ def _trace_values(
     injective: bool,
     threads: Optional[int],
 ) -> np.ndarray:
-    if n < 1 or samples < 1:
-        raise ValueError(f"need n >= 1 and samples >= 1, got n={n}, samples={samples}")
+    _check_sizes(n, samples)  # ahead of the early return below, which draws nothing
     _thread_count(threads)  # a bad count fails before any other work
     labels = T.labels()
     # Normalizing tr^0 by the injective-map count instead of n removes the

@@ -5,10 +5,14 @@ Entries are always centered with unit absolute second moment; the parameter
 entries.  Band profiles describe how the band width b(n) scales with the
 dimension and carry the matching normalization.
 
-Entry laws are ``gaussian`` (with pseudo-variance beta) and ``rademacher``
-(+-1 with equal weights).  Every sampler takes an explicit ``rng``, normally
-``stream(seed, index)``: each sample index gets its own counter-based Philox
-stream, so estimates are reproducible regardless of batching or thread count.
+An :class:`EntrySpec` holds one entry law, ``gaussian`` (with
+pseudo-variance beta) or ``rademacher`` (+-1 with equal weights), and a
+:class:`MatrixModel` assigns a band profile and entry law, or Haar, to each
+label.  :meth:`MatrixModel.sample` is the one way to draw band and Wigner
+matrices.  It and :func:`sample_haar_orthogonal` take an explicit ``rng``,
+normally ``stream(seed, index)``: each sample index gets its own
+counter-based Philox stream, so estimates are reproducible regardless of
+batching or thread count.
 """
 
 from __future__ import annotations
@@ -47,76 +51,62 @@ def _double_factorial_odd(k: int) -> int:
 
 
 @dataclass(frozen=True)
-class Law:
-    """Real centered law with unit variance: 'gaussian' or 'rademacher' (+-1)."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "rademacher"):
-            raise ValueError(f"unknown law kind {self.kind!r}")
-
-    def moment(self, k: int) -> Number:
-        """Exact k-th moment (a Fraction for Rademacher)."""
-        if k < 0:
-            raise ValueError("moment order must be >= 0")
-        if self.kind == "gaussian":
-            return 0 if k % 2 else _double_factorial_odd(k)
-        return Fraction(0 if k % 2 else 1)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.kind == "gaussian":
-            return rng.standard_normal(size)
-        return np.array([-1.0, 1.0])[rng.choice(2, size=size, p=[0.5, 0.5])]
-
-
-@dataclass(frozen=True)
 class EntrySpec:
-    """Entry distribution of a Hermitian random matrix.
+    """Entry distribution of a Hermitian random matrix: a pseudo-variance
+    and one law, ``"gaussian"`` or ``"rademacher"`` (+-1), the same on and
+    off the diagonal.
 
-    ``beta = E[X^2]`` for off-diagonal entries (E|X|^2 = 1).  For the complex
-    Gaussian case the real and imaginary parts have variances (1+Re beta)/2
-    and (1-Re beta)/2 with covariance Im(beta)/2, one consistent choice.
+    ``beta = E[X^2]`` for off-diagonal entries (E|X|^2 = 1).  Diagonal
+    entries are real draws of the law.  For the complex Gaussian case the
+    real and imaginary parts have variances (1+Re beta)/2 and (1-Re beta)/2
+    with covariance Im(beta)/2, one consistent choice.  A Rademacher law is
+    real, so its beta is 1.
     """
 
     beta: complex
-    offdiag: Law
-    diag: Law
+    law: str
 
     def __post_init__(self):
+        if self.law not in ("gaussian", "rademacher"):
+            raise ValueError(f"unknown law {self.law!r}")
         b = complex(self.beta)
         if not (math.isfinite(b.real) and math.isfinite(b.imag)):
             raise ValueError(f"beta must be finite, got {self.beta}")
         if abs(b) > 1 + 1e-12:
             raise ValueError(f"|beta| must be <= 1, got {abs(b)}")
+        if self.law == "rademacher" and not self.is_real:
+            raise ValueError(f"a rademacher law has beta 1, got {self.beta}")
 
     @staticmethod
     def gaussian(beta: complex = 1) -> "EntrySpec":
-        return EntrySpec(beta, Law("gaussian"), Law("gaussian"))
+        return EntrySpec(beta, "gaussian")
 
     @staticmethod
     def rademacher() -> "EntrySpec":
-        return EntrySpec(1, Law("rademacher"), Law("rademacher"))
+        return EntrySpec(1, "rademacher")
 
     @property
     def is_real(self) -> bool:
-        if self.offdiag.kind == "rademacher":
-            return True
         b = complex(self.beta)
         return b.imag == 0 and abs(b.real - 1) < 1e-12
 
-    def real_moment(self, k: int) -> Number:
-        """k-th moment of the off-diagonal law; real laws only."""
-        if not self.is_real:
-            raise ValueError("moments are only available for real entry laws")
-        return self.offdiag.moment(k)
+    def moment(self, k: int) -> int:
+        """Exact k-th moment of the real law: that of the diagonal entries,
+        and of the off-diagonal ones when ``is_real``."""
+        if k < 0:
+            raise ValueError("moment order must be >= 0")
+        if k % 2:
+            return 0
+        return _double_factorial_odd(k) if self.law == "gaussian" else 1
 
-    def diag_moment(self, k: int) -> Number:
-        return self.diag.moment(k)
+    def _sample_real(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        if self.law == "gaussian":
+            return rng.standard_normal(size)
+        return np.array([-1.0, 1.0])[rng.choice(2, size=size, p=[0.5, 0.5])]
 
     def sample_offdiag(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.is_real:
-            return self.offdiag.sample(rng, size)
+            return self._sample_real(rng, size)
         b = complex(self.beta)
         vr, vi, cv = (1 + b.real) / 2, (1 - b.real) / 2, b.imag / 2
         l11 = math.sqrt(vr)
@@ -127,7 +117,7 @@ class EntrySpec:
         return l11 * z1 + 1j * (l21 * z1 + l22 * z2)
 
     def sample_diag(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.diag.sample(rng, size)
+        return self._sample_real(rng, size)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +245,8 @@ def _outside_band(n: int, profile: BandProfile) -> np.ndarray:
 
 def band_mask(n: int, profile: BandProfile) -> np.ndarray:
     """0/1 float mask of the band, diagonal always included.  It is the band
-    :func:`sample_rbm` keeps, from the same helper; the samplers do not
-    build it."""
+    :meth:`MatrixModel.sample` keeps, from the same helper; sampling does
+    not build it."""
     outside = _outside_band(n, profile)
     return (~(outside | outside.T)).astype(float)
 
@@ -266,60 +256,37 @@ def band_mask(n: int, profile: BandProfile) -> np.ndarray:
 
 def _assemble(
     n: int,
-    entry: Optional[EntrySpec],
+    entry: EntrySpec,
     rng: np.random.Generator,
-    profile: Optional[BandProfile] = None,
+    profile: BandProfile,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Hermitian matrix in one pass over the draws, written into ``out`` if
+    """Band matrix in one pass over the draws, written into ``out`` if
     given (an ``n x n`` array of the entry law's dtype, which is returned).
 
     Draws the n(n-1)/2 off-diagonal values in ``triu_indices`` order, then
-    the n diagonal ones, scales them by the ``profile``'s normalization if
-    there is one, and writes them through the strict-upper-triangle mask of
-    the matrix and, conjugated, of its transpose.  The entries outside the
-    profile's band are then cleared to +0.0 through one mask on both.  The
-    two triangles and the diagonal cover every entry, so ``out`` need not
-    be zeroed."""
-    entry = entry if entry is not None else EntrySpec.gaussian()
+    the n diagonal ones, scales them by the ``profile``'s normalization,
+    and writes them through the strict-upper-triangle mask of the matrix
+    and, conjugated, of its transpose.  The entries outside the profile's
+    band are then cleared to +0.0 through one mask on both.  The two
+    triangles and the diagonal cover every entry, so ``out`` need not be
+    zeroed."""
     off = entry.sample_offdiag(rng, n * (n - 1) // 2)
     d = entry.sample_diag(rng, n)
-    if profile is not None:
-        scale = profile.normalization(n)
-        off *= scale
-        d *= scale
+    scale = profile.normalization(n)
+    off *= scale
+    d *= scale
     if np.iscomplexobj(off):
         off.real += 0.0  # zero real parts (beta = -1) are +0.0, as in the sum x + x^H
     x = np.empty((n, n), dtype=off.dtype) if out is None else out
     upper = ~np.tri(n, dtype=bool)
     x[upper] = off
     x.T[upper] = off.conj()
-    if profile is not None:
-        outside = _outside_band(n, profile)
-        x[outside] = 0
-        x.T[outside] = 0
+    outside = _outside_band(n, profile)
+    x[outside] = 0
+    x.T[outside] = 0
     np.fill_diagonal(x, d)
     return x
-
-
-def sample_hermitian(n: int, entry: Optional[EntrySpec], rng: np.random.Generator) -> np.ndarray:
-    """Hermitian matrix with iid unit-variance entries (no normalization);
-    ``entry`` None draws Gaussian entries."""
-    return _assemble(n, entry, rng)
-
-
-def sample_wigner(n: int, entry: Optional[EntrySpec], rng: np.random.Generator) -> np.ndarray:
-    """Normalized Wigner matrix: unit-variance Hermitian entries over sqrt(n)."""
-    return sample_hermitian(n, entry, rng) / math.sqrt(n)
-
-
-def sample_rbm(
-    n: int, profile: BandProfile, entry: Optional[EntrySpec], rng: np.random.Generator
-) -> np.ndarray:
-    """Random band matrix: the draws of :func:`sample_hermitian` times the
-    profile's normalization inside the band and +0.0 outside it, assembled
-    in one pass without building :func:`band_mask`."""
-    return _assemble(n, entry, rng, profile)
 
 
 def degree_matrix(w: np.ndarray) -> np.ndarray:

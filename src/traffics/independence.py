@@ -477,7 +477,7 @@ def freeness_moment_test(
     quotient expansion; the Monte Carlo estimate samples the model.
     """
     from .engine import Estimate, _mean_stderr, _sample_values
-    from .ensembles import MatrixModel
+    from .ensembles import BLAS_LOCK, MatrixModel
     from .limits import model_ltd
     from .moments import eval_polynomial_matrix, mixed_moment_ltd, traffic_moment
     from .moments import require_moment_support
@@ -505,7 +505,8 @@ def freeness_moment_test(
         mats = {w: eval_polynomial_matrix(elements[w], stacked) for w in counts}
         prod = mats[word[0]]
         for w in word[1:]:
-            prod = prod @ mats[w]
+            with BLAS_LOCK:
+                prod = prod @ mats[w]
         return np.trace(prod, axis1=-2, axis2=-1) / n
 
     vals = _sample_values(mm, mm.labels, n, samples, seed, None, word_values)

@@ -29,6 +29,7 @@ and Mobius weights are exact; Monte Carlo enters only in the test suite.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -587,57 +588,38 @@ def fixed_band_density(T: TestGraph, bands: Mapping[str, int]) -> int:
     return _band_maps(T, bands, None)
 
 
-@dataclass(frozen=True)
-class FixedBandLTD:
-    value: Number
-    density: Optional[int]  # None when the moment factor vanishes
-    moment_factor: Number
-    norm_sq: int  # prod over edges of (2 b + 1), the squared normalization
-
-
 def fixed_band_ltd(
-    T: TestGraph, bands: Mapping[str, int], entries: Any = None
-) -> FixedBandLTD:
-    """Limit of tau^0[T] for fixed band widths and real iid entry laws.
+    T: TestGraph, bands: Mapping[str, int], entries: Mapping[str, EntrySpec]
+) -> Fraction:
+    """Limit of tau^0[T] for fixed band widths and the real entry laws
+    ``entries`` (label -> :class:`EntrySpec`), as an exact Fraction.
 
     The limit is C(T) S(T) / sqrt(P): C is :func:`fixed_band_density`, S(T)
-    multiplies entry moments per class and P = prod over edges (2 b + 1).
-    The value is an exact Fraction when P is a perfect square and S is
-    rational, which every nonzero limit under a symmetric law (Gaussian,
-    Rademacher) satisfies; otherwise it is a float and ``norm_sq`` keeps P.
+    multiplies the entry laws' moments per (class, label) pair, and P =
+    prod over edges (2 b + 1).  Both laws are symmetric, so S != 0 needs an
+    even multiplicity for every pair; then every label has an even edge
+    count and sqrt(P) = prod over labels (2 b + 1)^(count / 2).  An
+    off-diagonal class of a label whose entries are not real-valued is a
+    ``ValueError`` naming the label.
     """
     g = _strip_stars(T)
     for lab in g.labels():
         if lab not in bands:
             raise ValueError(f"no band width for label {lab!r}")
-
-    def entry_for(lab: str) -> EntrySpec:
-        if entries is None:
-            return EntrySpec.gaussian()
-        if isinstance(entries, EntrySpec):
-            return entries
-        return entries[lab]
-
-    s_factor: Number = 1
+    s_factor = 1
     for cls in edge_classes(g):
-        per_label: dict[str, int] = {}
-        for i in cls.members:
-            lab = g.edges[i].label
-            per_label[lab] = per_label.get(lab, 0) + 1
-        for lab, m in per_label.items():
-            spec = entry_for(lab)
-            mom = spec.diag_moment(m) if cls.is_loop else spec.real_moment(m)
-            s_factor = s_factor * mom
-    norm_sq = math.prod(2 * int(bands[e.label]) + 1 for e in g.edges)
+        for lab, m in Counter(g.edges[i].label for i in cls.members).items():
+            if not (cls.is_loop or entries[lab].is_real):
+                raise ValueError(
+                    f"label {lab!r} has beta {entries[lab].beta}: fixed-band limits need "
+                    "real-valued entries (beta = 1 or rademacher)"
+                )
+            s_factor *= entries[lab].moment(m)
     if s_factor == 0:
-        return FixedBandLTD(Fraction(0), None, s_factor, norm_sq)
-    density = fixed_band_density(g, bands)
-    root = math.isqrt(norm_sq)
-    if root * root == norm_sq and isinstance(s_factor, (int, Fraction)):
-        value: Number = Fraction(density * s_factor, root)
-    else:
-        value = density * float(s_factor) / math.sqrt(norm_sq)
-    return FixedBandLTD(value, density, s_factor, norm_sq)
+        return Fraction(0)
+    counts = Counter(e.label for e in g.edges)
+    root = math.prod((2 * int(bands[lab]) + 1) ** (c // 2) for lab, c in counts.items())
+    return Fraction(fixed_band_density(g, bands) * s_factor, root)
 
 
 # ---------------------------------------------------------------------------
@@ -914,8 +896,8 @@ def model_ltd(model: MatrixModel) -> Callable[[TestGraph], Number]:
     """The injective-limit evaluator of a matrix model.
 
     An all-Haar model gives :func:`haar_ltd`; an all-fixed-band model gives
-    the value of :func:`fixed_band_ltd` (exact wherever it is rational); an
-    all-Wigner model gives :func:`wigner_ltd`, which takes non-real
+    :func:`fixed_band_ltd`, an exact Fraction, with the model's entry laws;
+    an all-Wigner model gives :func:`wigner_ltd`, which takes non-real
     pseudo-variances too; any other model gives :func:`rbm_ltd`.  Both take
     the pseudo-variances of the model's entry laws.  A model that mixes fixed
     bands with another regime is refused: no exact limit covers it.
@@ -934,7 +916,7 @@ def model_ltd(model: MatrixModel) -> Callable[[TestGraph], Number]:
         return haar_ltd
     if kinds == {"fixed"}:
         bands = {lab: p.b for lab, p in profiles.items()}
-        return lambda T: fixed_band_ltd(T, bands, entries).value
+        return lambda T: fixed_band_ltd(T, bands, entries)
     betas = {lab: e.beta for lab, e in entries.items()}
     if kinds == {"wigner"}:
         return lambda T: wigner_ltd(T, betas)

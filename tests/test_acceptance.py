@@ -35,7 +35,6 @@ from traffics.ensembles import (
     MatrixModel,
     degree_matrix,
     markov,
-    sample_rbm,
     stream,
 )
 from traffics.graphs import (
@@ -272,8 +271,9 @@ def test_markov_moments_match_spectral_monte_carlo():
     assert theory == [0, 2, 0, 9, 0, 56, 0, 431]
     n, samples = 500, 100
     sampled = {m: [] for m in range(1, 9)}
+    model = MatrixModel({"x": WIGNER})
     for i in range(samples):
-        w = sample_rbm(n, WIGNER, None, stream(41, i))
+        w = model.sample(n, stream(41, i))["x"]
         lam = np.linalg.eigvalsh(markov(1, -1, w))
         for m in sampled:
             sampled[m].append(np.mean(lam ** m))
@@ -383,11 +383,11 @@ def test_degree_moment_closed_forms_at_half_width():
     assert degree_moment_order(2, Fraction(1, 2)) == 1
     assert degree_moment_order(3, Fraction(1, 2)) == 0
     assert degree_moment_order(4, Fraction(1, 2)) == Fraction(28, 9)
-    prof = BandProfile("proportional", c=0.5)
+    model = MatrixModel({"x": BandProfile("proportional", c=0.5)})
     rng = stream(21)
     draws = {m: [] for m in (1, 2, 3, 4)}
     for _ in range(100):
-        d = np.diag(degree_matrix(sample_rbm(1000, prof, None, rng)))
+        d = np.diag(degree_matrix(model.sample(1000, rng)["x"]))
         for m in draws:
             draws[m].append(np.mean(d ** m))
     zs = []

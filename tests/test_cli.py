@@ -6,7 +6,7 @@ import pytest
 
 from traffics import cli
 from traffics.cli import CSV_HEADER, main
-from traffics.ensembles import BandProfile, MatrixModel
+from traffics.ensembles import BandProfile, EntrySpec, MatrixModel
 from traffics.independence import build_double_tree_corpus, verify_traffic_independence
 from traffics.limits import fixed_band_ltd, rbm_ltd, wigner_ltd
 from traffics.moments import parse_poly, require_moment_support, traffic_moment
@@ -66,6 +66,17 @@ def test_ltd_fixed_band(capsys):
     code, out, _ = run(capsys, "ltd", "--graph", PAD, "--band", "x=2")
     assert code == 0
     assert out.splitlines() == ["double tree: yes (1 pads: x:o)", "ltd = 4/5 ≈ 0.800000"]
+
+
+@pytest.mark.parametrize("entry", ["gaussian:1/2", "gaussian:0.5i"])
+def test_ltd_fixed_band_names_a_label_without_real_entries(capsys, entry):
+    code, out, err = run(
+        capsys, "ltd", "--graph", PAD, "--entry", f"x={entry}", "--regime", "x=fixed:1"
+    )
+    assert code == 2 and out == ""
+    message = json.loads(err)["message"]
+    assert message.startswith("label 'x' has beta ")
+    assert "fixed-band limits need real-valued entries (beta = 1 or rademacher)" in message
 
 
 def test_ltd_band_spells_fixed_regime(capsys):
@@ -292,12 +303,15 @@ def test_partial_regimes_default_to_wigner(capsys):
     assert out.splitlines()[1:] == [f"{k} {v}" for k, v in enumerate(want, 1)]
 
 
+GAUSS = EntrySpec.gaussian()
+
+
 def test_independence_audits_fixed_bands(capsys):
     code, out, _ = run(capsys, "independence", "--max-pads", "1", "--regime", "x=fixed:1,y=fixed:2")
     assert code == 0
     corpus = build_double_tree_corpus(1, ("x", "y"))
     report = verify_traffic_independence(
-        lambda T: fixed_band_ltd(T, {"x": 1, "y": 2}).value, None, corpus
+        lambda T: fixed_band_ltd(T, {"x": 1, "y": 2}, {"x": GAUSS, "y": GAUSS}), None, corpus
     )
     assert out == report.to_json() + "\n"
     # the fixed-band value, not the Wigner one, is audited

@@ -10,18 +10,21 @@ from traffics import ensembles
 from traffics.ensembles import (
     BandProfile,
     EntrySpec,
-    Law,
     MatrixModel,
     band_mask,
     degree_matrix,
     markov,
     sample_haar_orthogonal,
-    sample_hermitian,
-    sample_rbm,
-    sample_wigner,
     stream,
 )
 from oracles import band_mask_reference, sample_hermitian_reference, sample_rbm_reference
+
+WIGNER = BandProfile("wigner")
+
+
+def draw(n, profile, entry, rng):
+    """One draw of a one-label model, the only public band sampler."""
+    return MatrixModel({"x": (profile, entry)}).sample(n, rng)["x"]
 
 
 # ---------------------------------------------------------------------------
@@ -45,21 +48,31 @@ def test_streams_differ_by_index():
 def test_gaussian_moments():
     s = EntrySpec.gaussian()
     assert s.is_real
-    assert [s.real_moment(k) for k in (1, 2, 3, 4, 6)] == [0, 1, 0, 3, 15]
+    assert [s.moment(k) for k in (0, 1, 2, 3, 4, 6)] == [1, 0, 1, 0, 3, 15]
+    with pytest.raises(ValueError, match="moment order"):
+        s.moment(-1)
 
 
 def test_rademacher_moments():
     s = EntrySpec.rademacher()
-    moments = [s.real_moment(k) for k in (1, 2, 3, 4)]
+    moments = [s.moment(k) for k in (1, 2, 3, 4)]
     assert moments == [0, 1, 0, 1]
-    assert all(type(m) is Fraction for m in moments)
+    assert all(type(m) is int for m in moments)
 
 
 @pytest.mark.parametrize("kind", ["discrete", "bernoulli", "Gaussian", ""])
 def test_law_kinds_are_gaussian_and_rademacher(kind):
-    assert Law("gaussian").kind == "gaussian" and Law("rademacher").kind == "rademacher"
-    with pytest.raises(ValueError, match="unknown law kind"):
-        Law(kind)
+    assert EntrySpec.gaussian(0.5) == EntrySpec(0.5, "gaussian")
+    assert EntrySpec.rademacher() == EntrySpec(1, "rademacher")
+    with pytest.raises(ValueError, match="unknown law"):
+        EntrySpec(1, kind)
+
+
+@pytest.mark.parametrize("beta", [0.5, Fraction(1, 2), 0, -1, 1j])
+def test_rademacher_law_has_beta_one(beta):
+    # +-1 entries have E[X^2] = 1: any other pseudo-variance contradicts the law
+    with pytest.raises(ValueError, match="rademacher law has beta 1"):
+        EntrySpec(beta, "rademacher")
 
 
 def test_beta_bound():
@@ -135,13 +148,13 @@ def test_full_mask_is_all_ones():
 # samplers
 
 def test_wigner_is_hermitian():
-    w = sample_wigner(20, None, stream(0))
+    w = draw(20, WIGNER, EntrySpec.gaussian(), stream(0))
     assert np.allclose(w, w.conj().T)
 
 
 def test_rbm_respects_band():
     p = BandProfile.parse("fixed:1")
-    a = sample_rbm(10, p, None, stream(1))
+    a = draw(10, p, EntrySpec.gaussian(), stream(1))
     assert np.allclose(a, a.conj().T)
     assert a[0, 5] == 0
     assert a[0, 1] != 0 or a[1, 2] != 0  # overwhelmingly likely
@@ -167,7 +180,7 @@ def test_rbm_matches_masked_hermitian_oracle(law):
     for text in ASSEMBLY_REGIMES:
         profile = BandProfile.parse(text)
         for n in ASSEMBLY_NS:
-            got = sample_rbm(n, profile, entry, stream(5, n))
+            got = draw(n, profile, entry, stream(5, n))
             want = sample_rbm_reference(n, profile, entry, stream(5, n))
             assert got.dtype == want.dtype, (text, n)
             assert np.array_equal(got, want), (text, n)
@@ -178,28 +191,28 @@ def test_rbm_matches_masked_hermitian_oracle(law):
 
 def test_rbm_builds_no_band_mask_or_index_arrays(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("sample_rbm builds no band mask or triu indices")
+        raise AssertionError("sampling builds no band mask or triu indices")
 
     monkeypatch.setattr(ensembles, "band_mask", refuse)
     monkeypatch.setattr(np, "triu_indices", refuse)
-    a = sample_rbm(9, BandProfile.parse("periodic-prop:1/4"), None, stream(1))
+    a = draw(9, BandProfile.parse("periodic-prop:1/4"), EntrySpec.gaussian(), stream(1))
     assert a.shape == (9, 9) and a[0, 8] != 0 and a[0, 4] == 0
 
 
 @pytest.mark.parametrize("law", sorted(ASSEMBLY_LAWS))
 def test_hermitian_and_wigner_draws_keep_their_bytes(law):
+    # a Wigner draw is the unit-variance Hermitian oracle times n^(-1/2)
     entry = ASSEMBLY_LAWS[law]
     for n in ASSEMBLY_NS:
-        want = sample_hermitian_reference(n, entry, stream(6, n))
-        got = sample_hermitian(n, entry, stream(6, n))
+        want = sample_hermitian_reference(n, entry, stream(6, n)) * n**-0.5
+        got = draw(n, WIGNER, entry, stream(6, n))
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        wigner = sample_wigner(n, entry, stream(6, n))
-        assert wigner.tobytes() == (want / np.sqrt(n)).tobytes()
 
 
-# sha256 over sample_rbm(n, profile, rademacher, stream(5, n)) for n = 1, 2,
-# 7, 50: the Rademacher stream frozen independently of Law.sample, which the
-# reference assembly above shares with the package
+# sha256 over the one-label model draw of (profile, rademacher) from
+# stream(5, n) for n = 1, 2, 7, 50: the Rademacher stream frozen independently
+# of EntrySpec.sample_offdiag, which the reference assembly above shares with
+# the package
 RADEMACHER_DIGESTS = {
     "wigner": "1d7435581fdfcd08b095bb7a21b9637da40515f37574e12e1d901432c288be08",
     "fixed:2": "22f7b900a7c5ffcb97684893004f3044a417f5b73c32135dbcc197595f1dc071",
@@ -213,17 +226,16 @@ RADEMACHER_DIGESTS = {
 def test_rademacher_draws_keep_their_frozen_bytes(regime):
     h = hashlib.sha256()
     for n in (1, 2, 7, 50):
-        x = sample_rbm(n, BandProfile.parse(regime), EntrySpec.rademacher(), stream(5, n))
+        x = draw(n, BandProfile.parse(regime), EntrySpec.rademacher(), stream(5, n))
         h.update(x.tobytes())
     assert h.hexdigest() == RADEMACHER_DIGESTS[regime]
 
 
 @pytest.mark.parametrize("call", [
-    lambda: sample_hermitian(5, None),
-    lambda: sample_wigner(5, EntrySpec.rademacher()),
-    lambda: sample_rbm(5, BandProfile.parse("fixed:1"), None),
+    lambda: MatrixModel({"x": (WIGNER, EntrySpec.rademacher())}).sample(5),
+    lambda: MatrixModel({"x": BandProfile.parse("fixed:1")}).sample(5),
     lambda: sample_haar_orthogonal(5),
-], ids=["hermitian", "wigner", "rbm", "haar"])
+], ids=["wigner", "rbm", "haar"])
 def test_samplers_need_an_rng(call):
     with pytest.raises(TypeError):
         call()
@@ -231,27 +243,27 @@ def test_samplers_need_an_rng(call):
 
 def test_hermitian_complex_entries():
     spec = EntrySpec.gaussian(beta=0)
-    h = sample_hermitian(50, spec, stream(2))
+    h = draw(50, WIGNER, spec, stream(2))
     assert np.allclose(h, h.conj().T)
     assert np.iscomplexobj(h)
 
 
 def test_degree_matrix_row_sums():
-    w = sample_rbm(12, BandProfile.parse("proportional:1/2"), None, stream(3))
+    w = draw(12, BandProfile.parse("proportional:1/2"), EntrySpec.gaussian(), stream(3))
     d = degree_matrix(w)
     assert np.allclose(np.diag(d), w.sum(axis=1))
     assert np.count_nonzero(d - np.diag(np.diag(d))) == 0
 
 
 def test_degree_matrix_batched():
-    w = np.stack([sample_wigner(6, None, stream(4)), sample_wigner(6, None, stream(5))])
+    w = np.stack([draw(6, WIGNER, EntrySpec.gaussian(), stream(s)) for s in (4, 5)])
     d = degree_matrix(w)
     assert d.shape == (2, 6, 6)
     assert np.allclose(np.diagonal(d, axis1=-2, axis2=-1), w.sum(axis=-1))
 
 
 def test_markov_combination():
-    w = sample_wigner(8, None, stream(6))
+    w = draw(8, WIGNER, EntrySpec.gaussian(), stream(6))
     m = markov(2.0, 3.0, w)
     d = degree_matrix(w)
     assert np.allclose(m, 2.0 * w + 3.0 * d)

@@ -3,10 +3,13 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from traffics.ensembles import BandProfile
+from traffics import ensembles, moments
+from traffics.engine import estimate_traffic_state
+from traffics.ensembles import BandProfile, MatrixModel
 from traffics.graphs import Edge, TestGraph, canonical_key, edge_monomial
 from traffics.independence import (
     build_double_tree_corpus,
@@ -255,3 +258,55 @@ def test_freeness_needs_band_regimes(model):
     # fixed-band limits
     with pytest.raises(ValueError, match="band regime other than fixed"):
         freeness_moment_test("xx", {"x": edge_monomial("x")}, model, n=10, samples=2)
+
+
+XY = {"x": edge_monomial("x"), "y": edge_monomial("y")}
+XY_WIGNER = {"x": BandProfile.parse("wigner"), "y": BandProfile.parse("wigner")}
+
+
+@pytest.mark.parametrize("n,samples", [(0, 4), (-3, 4), (10, 0), (0, 0)])
+def test_estimates_refuse_bad_sizes_before_any_draw(monkeypatch, n, samples):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew with a bad size")
+
+    monkeypatch.setattr(MatrixModel, "sample", refuse)
+    with pytest.raises(ValueError, match="need n >= 1 and samples >= 1"):
+        freeness_moment_test("xy", XY, XY_WIGNER, n=n, samples=samples)
+    # ahead of the early return of an injective estimate with n < |V|
+    pad = TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "x")))
+    with pytest.raises(ValueError, match="need n >= 1 and samples >= 1"):
+        estimate_traffic_state(pad, MatrixModel(XY_WIGNER), n, samples, 0, injective=True)
+
+
+class _StandInLock:
+    """Stand-in for ``ensembles.BLAS_LOCK`` that records whether it is held."""
+
+    def __init__(self):
+        self.held = False
+
+    def __enter__(self):
+        assert not self.held
+        self.held = True
+
+    def __exit__(self, *exc):
+        self.held = False
+
+
+def test_freeness_word_products_hold_the_blas_lock(monkeypatch):
+    lock = _StandInLock()
+    held = []
+
+    class Watched(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                held.append(lock.held)
+            inputs = tuple(np.asarray(a) for a in inputs)
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    evaluate = moments.eval_polynomial_matrix
+    monkeypatch.setattr(ensembles, "BLAS_LOCK", lock)
+    monkeypatch.setattr(
+        moments, "eval_polynomial_matrix", lambda a, mats: evaluate(a, mats).view(Watched)
+    )
+    freeness_moment_test("xxyy", XY, XY_WIGNER, n=8, samples=3, seed=1)
+    assert held == [True] * 3  # one task, three products of the word

@@ -545,44 +545,87 @@ def test_fixed_band_density_is_the_count_increment(case):
     assert C <= bound
 
 
+GAUSS = {lab: EntrySpec.gaussian() for lab in "xy"}
+
+
 def test_fixed_band_ltd_pad_powers():
     # 2k parallel edges on two vertices: moment factor (2k-1)!!, density 2b
     # and norm (2b+1)^k, so the limit is (2k-1)!! 2b / (2b+1)^k
     for b, k in ((1, 1), (1, 2), (2, 3)):
         g = TestGraph(2, tuple(Edge(0, 1, "x") if i % 2 else Edge(1, 0, "x") for i in range(2 * k)))
-        out = fixed_band_ltd(g, {"x": b})
-        assert out.moment_factor == double_factorial_odd(k)
-        assert out.density == 2 * b
-        assert out.norm_sq == (2 * b + 1) ** (2 * k)
-        assert out.value == Fraction(double_factorial_odd(k) * 2 * b, (2 * b + 1) ** k)
-    assert fixed_band_ltd(pad2(), {"x": 1}).value == Fraction(2, 3)
+        assert fixed_band_density(g, {"x": b}) == 2 * b
+        out = fixed_band_ltd(g, {"x": b}, GAUSS)
+        assert type(out) is Fraction
+        assert out == Fraction(double_factorial_odd(k) * 2 * b, (2 * b + 1) ** k)
+    assert fixed_band_ltd(pad2(), {"x": 1}, GAUSS) == Fraction(2, 3)
 
 
 def test_fixed_band_ltd_three_pad_path():
     path = tree_doubles([(0, 1, "x", False), (1, 2, "y", False), (2, 3, "x", False)])
     assert fixed_band_density(path, {"x": 2, "y": 2}) == 30
-    assert fixed_band_ltd(path, {"x": 2, "y": 2}).value == Fraction(6, 25)
+    assert fixed_band_ltd(path, {"x": 2, "y": 2}, GAUSS) == Fraction(6, 25)
 
 
 @pytest.mark.parametrize("g", [pad2(), TestGraph(2, (Edge(0, 1, "x"),))])
 def test_fixed_band_missing_width_is_a_value_error(g):
     # a lone edge has a vanishing moment factor and is refused all the same
-    for fn in (fixed_band_ltd, fixed_band_density):
-        with pytest.raises(ValueError, match="no band width for label 'x'"):
-            fn(g, {})
+    with pytest.raises(ValueError, match="no band width for label 'x'"):
+        fixed_band_density(g, {})
+    with pytest.raises(ValueError, match="no band width for label 'x'"):
+        fixed_band_ltd(g, {}, GAUSS)
 
 
 def test_fixed_band_ltd_vanishes_on_odd_classes():
     g = TestGraph(2, (Edge(0, 1, "x"),))
-    out = fixed_band_ltd(g, {"x": 3})
-    assert out.value == 0 and out.moment_factor == 0 and out.density is None
+    out = fixed_band_ltd(g, {"x": 3}, GAUSS)
+    assert out == 0 and type(out) is Fraction
 
 
 def test_fixed_band_ltd_rademacher():
     g = TestGraph(2, tuple(Edge(0, 1, "x") if i % 2 else Edge(1, 0, "x") for i in range(4)))
-    out = fixed_band_ltd(g, {"x": 1}, entries=EntrySpec.rademacher())
-    assert out.moment_factor == 1
-    assert out.value == Fraction(2, 9)
+    assert fixed_band_ltd(g, {"x": 1}, {"x": EntrySpec.rademacher()}) == Fraction(2, 9)
+    assert fixed_band_ltd(g, {"x": 1}, GAUSS) == Fraction(6, 9)
+
+
+@pytest.mark.parametrize("beta", [Fraction(1, 2), 0, 0.5j])
+def test_fixed_band_ltd_names_a_label_without_real_entries(beta):
+    entries = {"x": EntrySpec.gaussian(), "y": EntrySpec.gaussian(beta)}
+    g = TestGraph(2, (Edge(0, 1, "y"), Edge(1, 0, "y")))
+    with pytest.raises(ValueError, match="label 'y' .*need real-valued entries"):
+        fixed_band_ltd(g, {"x": 1, "y": 1}, entries)
+    # diagonal entries are real draws of the law under any beta
+    loops = TestGraph(1, (Edge(0, 0, "y"), Edge(0, 0, "y")))
+    assert fixed_band_ltd(loops, {"y": 2}, entries) == Fraction(1, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fixed_band_ltd_is_always_a_fraction(data):
+    # S != 0 needs an even multiplicity per (class, label) pair under either
+    # law, so P is a perfect square and no value falls back to a float
+    nv = data.draw(st.integers(1, 4))
+    vertex = st.integers(0, nv - 1)
+    pairs = [(i, i + 1) for i in range(nv - 1)]  # a path keeps the graph connected
+    pairs += data.draw(st.lists(st.tuples(vertex, vertex), max_size=3))
+    edges = []
+    for u, v in pairs:  # each with a twin, so that most moment factors survive
+        lab = data.draw(st.sampled_from("xy"))
+        edges += [Edge(u, v, lab), Edge(v, u, lab) if data.draw(st.booleans()) else Edge(u, v, lab)]
+    for u, v in data.draw(st.lists(st.tuples(vertex, vertex), max_size=2)):
+        edges.append(Edge(u, v, data.draw(st.sampled_from("xy"))))
+    if not edges:
+        edges.append(Edge(0, 0, "x"))
+    g = TestGraph(nv, tuple(edges))
+    laws = {lab: data.draw(st.sampled_from([EntrySpec.gaussian(), EntrySpec.rademacher()]))
+            for lab in "xy"}
+    bands = {lab: data.draw(st.integers(1, 3)) for lab in "xy"}
+    value = fixed_band_ltd(g, bands, laws)
+    assert type(value) is Fraction
+    if value:
+        norm_sq = math.prod(2 * bands[e.label] + 1 for e in g.edges)
+        root = math.isqrt(norm_sq)
+        assert root * root == norm_sq
+        assert (value * root / fixed_band_density(g, bands)).denominator == 1
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +765,7 @@ def test_model_ltd_resolves_each_kind():
     congruent = TestGraph(2, (Edge(0, 1, "x"), Edge(0, 1, "x")))
     assert model_ltd(MatrixModel({"x": "haar"})) is haar_ltd
     fixed = model_ltd(MatrixModel({"x": (BandProfile.parse("fixed:1"), EntrySpec.rademacher())}))
-    assert fixed(star) == fixed_band_ltd(star, {"x": 1}, {"x": EntrySpec.rademacher()}).value
+    assert fixed(star) == fixed_band_ltd(star, {"x": 1}, {"x": EntrySpec.rademacher()})
     half = Fraction(1, 2)
     prop = {"x": BandProfile("proportional", c=half)}
     assert model_ltd(MatrixModel(prop))(star) == rbm_ltd(star, prop) == Fraction(28, 27)

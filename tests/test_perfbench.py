@@ -6,7 +6,7 @@ or changes a value a workload checks, must fail here, not in
 import importlib.util
 import os
 
-from traffics import engine, graphs, limits, moments
+from traffics import engine, ensembles, graphs, limits, moments
 from traffics.graphs import Edge, TestGraph
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
@@ -20,21 +20,26 @@ def _load(name):
     return module
 
 
+def _traced_names():
+    # the draw-path names last: the tracer wraps them to count draws and bytes
+    return (engine.trace_test_graph, graphs.canonical_key, moments.ltd_trace,
+            limits.double_tree_quotients, limits.cut_integral, ensembles.MatrixModel.sample,
+            ensembles.sample_haar_orthogonal, ensembles.band_mask)
+
+
 def test_tracer_installs_and_restores_every_name():
     tracing = _load("tracing")
-    originals = (engine.trace_test_graph, graphs.canonical_key, moments.ltd_trace,
-                 limits.double_tree_quotients, limits.cut_integral)
+    originals = _traced_names()
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        assert engine.trace_test_graph is not originals[0]
+        assert all(now is not was for now, was in zip(_traced_names(), originals))
         pad = TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "x")))
         assert limits.cut_probability(pad, 1) == 1
         assert [span[0] for span in tracer.spans] == ["limits.cut_integral"]
     finally:
         assert tracer.uninstall() is True
-    assert (engine.trace_test_graph, graphs.canonical_key, moments.ltd_trace,
-            limits.double_tree_quotients, limits.cut_integral) == originals
+    assert _traced_names() == originals
 
 
 def test_every_workload_passes_its_checks_at_its_default_seed():
