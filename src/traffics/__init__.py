@@ -77,6 +77,7 @@ from .limits import (
     cut_integral,
     cut_probability,
     degree_moment_order,
+    double_tree_code,
     double_tree_quotients,
     fixed_band_count,
     fixed_band_density,

@@ -342,7 +342,10 @@ def _cmd_concentration(res: _Resolver) -> int:
 
 
 def _cmd_independence(res: _Resolver) -> int:
-    labels = tuple((res.str_("labels", "x,y") or "x,y").split(","))
+    text = res.str_("labels", "x,y")
+    labels = tuple(part.strip() for part in text.split(","))
+    if not all(labels):
+        raise ValueError(f"--labels needs comma-separated labels, got {text!r}")
     max_pads = res.int_("max_pads", 3)
     corpus = independence.build_double_tree_corpus(max_pads, labels)
     fams = _label_pairs(res, "families", labels) or None

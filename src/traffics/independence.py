@@ -33,6 +33,7 @@ from .graphs import (
     serialize,
     shape_sum,
 )
+from .limits import double_tree_code
 
 Number = Union[int, float, Fraction, complex]
 
@@ -177,7 +178,12 @@ def independent_prediction(
 ) -> Number:
     """tau^0 predicted by traffic independence: the product of ltd_fn over
     colored components on free products, zero otherwise."""
-    chi = chi_graph(T, families)
+    return _prediction(T, chi_graph(T, families), ltd_fn)
+
+
+def _prediction(
+    T: TestGraph, chi: ChiGraph, ltd_fn: Callable[[TestGraph], Number]
+) -> Number:
     if not chi.is_tree:
         return 0
     out: Number = 1
@@ -233,13 +239,23 @@ def verify_traffic_independence(
 
     For every graph, compares ltd_fn(T) against the independence prediction
     (product over colored components when chi(T) is a tree, zero otherwise).
-    Violations carry the serialized witness graph.
+    chi(T) is built once per graph, and ltd_fn runs once per distinct graph
+    of the audit, corpus graphs and components alike: its values are kept
+    for this call, keyed by the graph itself, so a float value is reused bit
+    for bit.  Violations carry the serialized witness graph.
     """
+    values: dict[TestGraph, Number] = {}
+
+    def ltd(g: TestGraph) -> Number:
+        if g not in values:
+            values[g] = ltd_fn(g)
+        return values[g]
+
     records = []
     for T in corpus:
         chi = chi_graph(T, families)
-        expected = independent_prediction(T, families, ltd_fn)
-        actual = ltd_fn(T)
+        expected = _prediction(T, chi, ltd)
+        actual = ltd(T)
         records.append(
             {
                 "graph": serialize(T),
@@ -280,27 +296,38 @@ def double_tree(
     return TestGraph(n, tuple(edges))
 
 
+def _corpus_candidates(max_pads: int, labels: Sequence[str]) -> Iterator[TestGraph]:
+    """Every labelled, oriented double tree on every recursive skeleton of
+    at most ``max_pads`` pads, isomorphic copies included, then the witnesses."""
+    for k in range(1, max_pads + 1):
+        for parents in product(*(range(i) for i in range(1, k + 1))):
+            tree = [(parents[i - 1], i) for i in range(1, k + 1)]
+            for pattern in product(product(labels, _PAD_KINDS), repeat=k):
+                yield double_tree(tree, pattern)
+    yield from witness_graphs(labels).values()
+
+
 def build_double_tree_corpus(
     max_pads: int = 3, labels: Sequence[str] = ("x", "y")
 ) -> tuple[TestGraph, ...]:
     """Every colored double tree with at most ``max_pads`` pads over the given
     labels, up to isomorphism, plus fixed larger witnesses (8 vertices) and
-    the standard non-free-product graphs."""
+    the standard non-free-product graphs.
+
+    Candidates are deduplicated by ``limits.double_tree_code``, keeping the
+    first of each class (a witness that is not a double tree stands for
+    itself); only those representatives are put in canonical form, and the
+    corpus lists the forms in ``canonical_key`` order."""
     if not 1 <= max_pads <= 4:
         raise ValueError("pad budget must be between 1 and 4")
     repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
     if repeated:
         raise ValueError(f"corpus labels repeat: {', '.join(repeated)}")
-
-    def candidates() -> Iterator[TestGraph]:
-        for k in range(1, max_pads + 1):
-            for parents in product(*(range(i) for i in range(1, k + 1))):
-                tree = [(parents[i - 1], i) for i in range(1, k + 1)]
-                for pattern in product(product(labels, _PAD_KINDS), repeat=k):
-                    yield double_tree(tree, pattern)
-        yield from witness_graphs(labels).values()
-
-    return tuple(form for form, _ in shape_sum((g, 1) for g in candidates()))
+    reps: dict[Any, TestGraph] = {}
+    for g in _corpus_candidates(max_pads, labels):
+        code = double_tree_code(g)
+        reps.setdefault(g if code is None else code, g)
+    return tuple(form for form, _ in shape_sum((g, 1) for g in reps.values()))
 
 
 def witness_graphs(labels: Sequence[str] = ("x", "y")) -> dict[str, TestGraph]:

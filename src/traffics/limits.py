@@ -21,9 +21,11 @@ dimension grows:
   Catalan numbers.
 
 ``ltd_trace`` turns any of these injective limits into the limit of tau[T]
-by summing it over the quotients of T, once per isomorphism class
-(``graphs.shape_sum``).  Cut integrals (integers on one grid), closed forms
-and Mobius weights are exact; Monte Carlo enters only in the test suite.
+by summing it over the quotients of T, once per isomorphism class: double
+trees are classed by ``double_tree_code``, a linear-time tree code, and the
+full partition lattice by ``graphs.shape_sum``.  Cut integrals (integers on
+one grid), closed forms and Mobius weights are exact; Monte Carlo enters
+only in the test suite.
 """
 
 from __future__ import annotations
@@ -127,6 +129,82 @@ def classify_double_tree(T: TestGraph) -> DoubleTreeReport:
     if len(classes) != g.n_vertices - 1:
         return DoubleTreeReport(False, reason="skeleton has a cycle")
     return DoubleTreeReport(True, tuple(pads))
+
+
+def double_tree_code(T: TestGraph) -> Optional[tuple]:
+    """Complete isomorphism invariant of a colored double tree, else None.
+
+    The AHU code (Aho, Hopcroft & Ullman) of the pad skeleton rooted at a
+    centre, the least over the one or two centres.  A vertex's code is the
+    sorted tuple of ``(label, away, child code)`` over its child pads, where
+    ``away`` counts the pad's edges that point from the parent to the child.
+    Stars are ignored, as in :func:`classify_double_tree`.  A loop, a class
+    of other than two edges, mixed labels in a class or a skeleton that is
+    not a tree gives None.  Linear in the size of T, up to the sorts.
+    """
+    n = T.n_vertices
+    pads: dict[tuple[int, int], list] = {}  # skeleton pair -> [label, src, src]
+    for e in T.edges:
+        s, t = e.src, e.tar
+        if s == t:
+            return None
+        key = (s, t) if s < t else (t, s)
+        pad = pads.get(key)
+        if pad is None:
+            pads[key] = [e.label, s]
+        elif len(pad) == 2 and pad[0] == e.label:
+            pad.append(s)
+        else:
+            return None
+    if len(pads) != n - 1:  # T is connected, so n - 1 classes make a tree
+        return None
+    adj: list[list[tuple[int, str, int, int]]] = [[] for _ in range(n)]
+    for (u, v), pad in pads.items():
+        if len(pad) != 3:
+            return None
+        label, s1, s2 = pad
+        adj[u].append((v, label, s1, s2))
+        adj[v].append((u, label, s1, s2))
+    # peel leaves layer by layer; the last one or two vertices are the centres
+    degree = [len(a) for a in adj]
+    layer = [v for v in range(n) if degree[v] <= 1]
+    left = n
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for nb in adj[v]:
+                w = nb[0]
+                degree[w] -= 1
+                if degree[w] == 1:
+                    nxt.append(w)
+        layer = nxt
+    root = layer[0]
+    parent = [-1] * n
+    order = [root]
+    for v in order:
+        for nb in adj[v]:
+            w = nb[0]
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    code: list[tuple] = [()] * n
+    for v in reversed(order):
+        code[v] = tuple(sorted(
+            (label, (s1 == v) + (s2 == v), code[w])
+            for w, label, s1, s2 in adj[v]
+            if w != parent[v]
+        ))
+    if len(layer) == 1:
+        return code[root]
+    # rooted at the other centre, the root hangs below it by the central pad
+    # with every subtree but the other centre's
+    other = layer[1]
+    label, s1, s2 = pads[(root, other) if root < other else (other, root)]
+    away = (s1 == root) + (s2 == root)
+    rest = list(code[root])
+    rest.remove((label, away, code[other]))
+    return min(code[root], tuple(sorted(code[other] + ((label, 2 - away, tuple(rest)),))))
 
 
 def wigner_ltd(T: TestGraph, betas: Any = None) -> Number:
@@ -868,24 +946,35 @@ def ltd_trace(
 
     ``ltd_fn`` gives the limiting injective value of a quotient (for example
     ``lambda q: wigner_ltd(q, betas)``); quotients are grouped up to
-    isomorphism so ltd_fn runs once per shape.  The default scan visits only
-    double-tree quotients, which carries every band-regime limit; a limit
-    supported elsewhere (the orthogonal one lives on cacti) needs
-    ``support="all"``, the full partition lattice.
+    isomorphism so ltd_fn runs once per shape, on one representative of it.
+    The default scan visits only double-tree quotients, which carries every
+    band-regime limit; they are grouped by :func:`double_tree_code`, summed
+    in code order, and the representative is the first quotient of T the
+    scan yields in each class.  A limit supported elsewhere (the orthogonal
+    one lives on cacti) needs ``support="all"``, the full partition lattice,
+    grouped by ``graphs.shape_sum`` with canonical forms as representatives.
     """
     if support == "double_tree":
-        quotients = (q for _, q in double_tree_quotients(T))
+        classes: dict[tuple, list] = {}
+        for _, q in double_tree_quotients(T):
+            code = double_tree_code(q)
+            slot = classes.get(code)
+            if slot is None:
+                classes[code] = [q, 1]
+            else:
+                slot[1] += 1
+        groups = [classes[code] for code in sorted(classes)]
     elif support == "all":
         from .partitions import enumerate_partitions
 
-        quotients = (
-            quotient(T, pi) for pi in enumerate_partitions(T.n_vertices)
+        groups = shape_sum(
+            (quotient(T, pi), 1) for pi in enumerate_partitions(T.n_vertices)
         )
     else:
         raise ValueError(f"unknown support {support!r}")
     total: Number = 0
-    for form, count in shape_sum((q, 1) for q in quotients):
-        total = total + count * ltd_fn(form)
+    for rep, count in groups:
+        total = total + count * ltd_fn(rep)
     return total
 
 

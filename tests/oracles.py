@@ -70,6 +70,18 @@ def naive_trace_sum(T: TestGraph, fn) -> complex:
     return total
 
 
+def ltd_trace_reference(T: TestGraph, ltd_fn) -> complex:
+    """Sum ltd_fn over the double-tree quotients of T, grouped by canonical
+    key and evaluated on each class's canonical form."""
+    from traffics.graphs import shape_sum
+    from traffics.limits import double_tree_quotients
+
+    total = 0
+    for form, count in shape_sum((q, 1) for _, q in double_tree_quotients(T)):
+        total = total + count * ltd_fn(form)
+    return total
+
+
 def naive_graph_matrix(T: TestGraph, v_out: int, v_in: int, mats) -> np.ndarray:
     """t(A)[..., i, j]: sum over every vertex map with v_out -> i, v_in -> j of
     the edge-entry product, one map at a time."""

@@ -529,6 +529,24 @@ def test_independence_refuses_repeated_labels(capsys):
     assert record["error"] == "ValueError" and "x" in record["message"]
 
 
+def test_independence_labels_strip_spaces(capsys):
+    _, plain, _ = run(capsys, "independence", "--max-pads", "1", "--labels", "x,y")
+    code, spaced, _ = run(capsys, "independence", "--max-pads", "1", "--labels", " x, y ")
+    assert code == 0 and spaced == plain
+
+
+@pytest.mark.parametrize("labels", ["", "x,", ",y", "x, ,y", " "])
+def test_independence_refuses_empty_labels(tmp_path, capsys, labels):
+    code, out, err = run(capsys, "independence", "--max-pads", "1", "--labels", labels)
+    assert code == 2 and out == ""
+    assert "--labels" in json.loads(err)["message"]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"labels = {labels}\n")
+    code, out, err = run(capsys, "independence", "--max-pads", "1", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "--labels" in json.loads(err)["message"]
+
+
 def test_haar_rejects_entry_flags(capsys):
     code, _, err = run(
         capsys, "ltd", "--graph", PAD, "--ensemble", "haar", "--entry", "x=gaussian"

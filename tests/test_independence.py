@@ -1,17 +1,19 @@
 """Traffic independence audits and the freeness bridge."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from traffics import ensembles, moments
+from traffics import ensembles, independence, moments
 from traffics.engine import estimate_traffic_state
 from traffics.ensembles import BandProfile, MatrixModel
-from traffics.graphs import Edge, TestGraph, canonical_key, edge_monomial
+from traffics.graphs import Edge, TestGraph, canonical_key, edge_monomial, serialize
 from traffics.independence import (
+    IndependenceReport,
     build_double_tree_corpus,
     chi_graph,
     colored_components,
@@ -140,6 +142,54 @@ def test_complex_pseudo_variance_violates_independence():
     rec = report.violations[0]
     assert complex(rec["expected"]) == 0
     assert complex(rec["actual"]) == pytest.approx(1 / 3)
+
+
+def _reference_audit(ltd_fn, corpus):
+    """The audit as a plain loop: chi(T) twice per graph, no memo."""
+    records = []
+    for T in corpus:
+        chi = chi_graph(T, None)
+        expected = independent_prediction(T, None, ltd_fn)
+        actual = ltd_fn(T)
+        records.append({
+            "graph": serialize(T),
+            "chi_tree": chi.is_tree,
+            "components": len(chi.components),
+            "expected": independence._value_repr(expected),
+            "actual": independence._value_repr(actual),
+            "match": independence._values_match(actual, expected),
+        })
+    return IndependenceReport(tuple(records))
+
+
+@pytest.mark.parametrize("evaluator", ["wigner", "rbm", "complex beta"])
+def test_audit_evaluates_each_distinct_graph_once(monkeypatch, evaluator):
+    regimes = {"x": BandProfile.parse("proportional:1/2"), "y": BandProfile.parse("slow:0.5")}
+    ltd = {
+        "wigner": wigner_ltd,
+        "rbm": lambda T: rbm_ltd(T, regimes),
+        "complex beta": lambda T: wigner_ltd(T, {"x": 0.6j, "y": 0.3 + 0.4j}),
+    }[evaluator]
+    corpus = build_double_tree_corpus(3)
+    calls = Counter()
+
+    def counting(T):
+        calls[T] += 1
+        return ltd(T)
+
+    reference = _reference_audit(counting, corpus)
+    assert sum(calls.values()) == 569
+    calls.clear()
+    chi_calls = []
+    real_chi_graph = chi_graph
+    monkeypatch.setattr(
+        independence, "chi_graph",
+        lambda T, families=None: chi_calls.append(T) or real_chi_graph(T, families),
+    )
+    report = verify_traffic_independence(counting, None, corpus)
+    assert sum(calls.values()) == len(calls) == 220
+    assert chi_calls == list(corpus)
+    assert report.to_json() == reference.to_json()
 
 
 def test_report_json_round_trip():

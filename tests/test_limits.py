@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from traffics.ensembles import BandProfile, EntrySpec, MatrixModel
 from traffics.graphs import Edge, TestGraph, canonical_key, directed_cycle, quotient
-from traffics.independence import build_double_tree_corpus
+from traffics.independence import _corpus_candidates, build_double_tree_corpus
 from traffics.limits import (
     _horner,
     _taylor_shift,
@@ -24,6 +24,7 @@ from traffics.limits import (
     cut_integral,
     cut_probability,
     degree_moment_order,
+    double_tree_code,
     double_tree_quotients,
     fixed_band_count,
     fixed_band_density,
@@ -45,6 +46,7 @@ from oracles import (
     double_factorial_odd,
     haar_estimator_mean,
     haar_tau0_exact,
+    ltd_trace_reference,
     mc_cut_volume,
     naive_trace_sum,
 )
@@ -780,3 +782,53 @@ def test_model_ltd_resolves_each_kind():
     with pytest.raises(ValueError, match="fixed bands on x mixed with other regimes on y"):
         model_ltd(mixed)
     assert model_ltd(MatrixModel({}))(TestGraph(1)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the double-tree code
+
+def test_double_tree_code_classes_are_canonical_key_classes():
+    candidates = list(_corpus_candidates(3, ("x", "y")))
+    assert len(candidates) == 1383
+    keys_of_code, codes_of_key = {}, {}
+    for g in candidates:
+        code = double_tree_code(g)
+        assert (code is not None) == classify_double_tree(g).is_double_tree
+        if code is not None:
+            keys_of_code.setdefault(code, set()).add(canonical_key(g))
+            codes_of_key.setdefault(canonical_key(g), set()).add(code)
+    assert len(keys_of_code) == len(codes_of_key) == 198
+    assert all(len(keys) == 1 for keys in keys_of_code.values())
+    assert all(len(codes) == 1 for codes in codes_of_key.values())
+
+
+def test_double_tree_code_survives_relabelling_and_stars():
+    rng = random.Random(16)
+    for g in _corpus_candidates(3, ("x", "y")):
+        perm = list(range(g.n_vertices))
+        rng.shuffle(perm)
+        assert double_tree_code(g.relabel(perm)) == double_tree_code(g)
+    starred = TestGraph(2, (Edge(0, 1, "x", True), Edge(0, 1, "x")))
+    assert double_tree_code(starred) == double_tree_code(pad2("congruent"))
+    assert double_tree_code(TestGraph(1)) == ()
+
+
+@pytest.mark.parametrize("g", [
+    TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "x"), Edge(1, 1, "x"), Edge(1, 1, "x"))),
+    TestGraph(3, (Edge(0, 1, "x"), Edge(1, 0, "x"), Edge(1, 2, "x"))),
+    TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "x"), Edge(0, 1, "x"))),
+    TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "y"))),
+    TestGraph(3, tuple(Edge(i, (i + 1) % 3, "x") for i in range(3) for _ in range(2))),
+], ids=["loop", "class of one", "class of three", "mixed labels", "skeleton cycle"])
+def test_double_tree_code_refuses_non_double_trees(g):
+    assert not classify_double_tree(g).is_double_tree
+    assert double_tree_code(g) is None
+
+
+@pytest.mark.parametrize("evaluator", ["wigner", "rbm"])
+def test_ltd_trace_matches_the_canonical_form_reference_on_the_corpus(evaluator):
+    regimes = {"x": BandProfile.parse("proportional:1/2"), "y": BandProfile.parse("slow:0.5")}
+    ltd = wigner_ltd if evaluator == "wigner" else (lambda T: rbm_ltd(T, regimes))
+    for g in build_double_tree_corpus(3):
+        got, want = ltd_trace(g, ltd), ltd_trace_reference(g, ltd)
+        assert (got, type(got)) == (want, type(want))

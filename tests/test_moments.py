@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from traffics import moments
 from traffics.ensembles import BandProfile
 from traffics.graphs import Edge, TestGraph, TrafficPolynomial, canonical_key, edge_monomial
 from traffics.independence import free_cumulants, noncrossing_partitions
@@ -26,7 +27,12 @@ from traffics.moments import (
     traffic_moment,
 )
 
-from oracles import catalan_by_recurrence, double_factorial_odd, word_trace_terms
+from oracles import (
+    catalan_by_recurrence,
+    double_factorial_odd,
+    ltd_trace_reference,
+    word_trace_terms,
+)
 
 CATALAN = catalan_by_recurrence(8)
 
@@ -113,6 +119,33 @@ def test_markov_frozen_moments():
     got = [markov_moments(1, 1, m) for m in range(7)]
     assert got == [1, 0, 2, 0, 9, 0, 56]
     assert all(isinstance(v, (int, Fraction)) for v in got)
+
+
+def _markov_sums_match_the_reference(monkeypatch, orders):
+    """Every quotient sum behind the Markov moments equals the canonical-form
+    reference, value and type."""
+    calls = []
+
+    def checked(T, ltd_fn):
+        got, want = ltd_trace(T, ltd_fn), ltd_trace_reference(T, ltd_fn)
+        assert (got, type(got)) == (want, type(want)), T
+        calls.append(T)
+        return got
+
+    monkeypatch.setattr(moments, "ltd_trace", checked)
+    a = markov_element(Fraction(1, 2), Fraction(3, 2))
+    for m in orders:
+        traffic_moment(a, m)
+    assert calls
+
+
+def test_markov_quotient_sums_match_the_reference_to_order_8(monkeypatch):
+    _markov_sums_match_the_reference(monkeypatch, range(1, 9))
+
+
+@pytest.mark.slow
+def test_markov_quotient_sums_match_the_reference_to_order_10(monkeypatch):
+    _markov_sums_match_the_reference(monkeypatch, (9, 10))
 
 
 def test_markov_edge_cases():
