@@ -474,8 +474,9 @@ class Estimate:
 
     def z(self, theory: complex) -> float:
         diff = abs(complex(self.mean) - complex(theory))
-        if self.stderr == 0:
-            # every sample agreed: a difference at rounding level is a match
+        if self.stderr <= 1e-12 * max(abs(complex(self.mean)), 1.0):
+            # every sample agreed up to rounding: a difference at rounding
+            # level is a match
             return 0.0 if diff <= 1e-12 * max(abs(theory), 1.0) else math.inf
         return diff / self.stderr
 

@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Any, Callable, Iterator, Mapping, Optional, Union
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .ensembles import BandProfile, EntrySpec, MatrixModel, _double_factorial_odd
 from .graphs import Edge, TestGraph, _collapse, _UnionFind, edge_classes, quotient, shape_sum
@@ -73,8 +73,7 @@ def _is_real(x: Number) -> bool:
 # ---------------------------------------------------------------------------
 # double trees
 
-@dataclass(frozen=True)
-class Pad:
+class Pad(NamedTuple):
     """One doubled edge class of a double tree.
 
     ``u < v`` are the skeleton endpoints.  For a congruent pad both edges run
@@ -100,33 +99,31 @@ class DoubleTreeReport:
 def classify_double_tree(T: TestGraph) -> DoubleTreeReport:
     """Decide whether T is a colored double tree, with a reason when not.
 
-    Stars are ignored (self-adjoint matrices).  Conditions: no loops, every
-    edge class holds exactly two edges of one label, and the skeleton of
-    classes is a tree.
+    Stars are ignored (self-adjoint matrices).  Conditions, checked in this
+    order: no loops, every edge class (in sorted endpoint order) holds
+    exactly two edges of one label, and the skeleton of classes is a tree.
+    This is the one reader of pads off a graph; the evaluators take its
+    report.
     """
-    g = _strip_stars(T)
-    for e in g.edges:
-        if e.src == e.tar:
-            return DoubleTreeReport(False, reason=f"loop at vertex {e.src}")
-    classes = edge_classes(g)
+    classes: dict[tuple[int, int], list[int]] = {}
+    for i, e in enumerate(T.edges):
+        s, t = e.src, e.tar
+        if s == t:
+            return DoubleTreeReport(False, reason=f"loop at vertex {s}")
+        classes.setdefault((s, t) if s < t else (t, s), []).append(i)
     pads = []
-    for cls in classes:
-        if len(cls.members) != 2:
-            return DoubleTreeReport(
-                False,
-                reason=f"class {{{cls.u},{cls.v}}} has {len(cls.members)} edges",
-            )
-        e1, e2 = (g.edges[i] for i in cls.members)
+    for (u, v), members in sorted(classes.items()):
+        if len(members) != 2:
+            return DoubleTreeReport(False, reason=f"class {{{u},{v}}} has {len(members)} edges")
+        i, j = members
+        e1, e2 = T.edges[i], T.edges[j]
         if e1.label != e2.label:
             return DoubleTreeReport(
-                False,
-                reason=f"class {{{cls.u},{cls.v}}} mixes labels {e1.label!r}, {e2.label!r}",
+                False, reason=f"class {{{u},{v}}} mixes labels {e1.label!r}, {e2.label!r}"
             )
-        orientation = "congruent" if (e1.src, e1.tar) == (e2.src, e2.tar) else "opposing"
-        pads.append(
-            Pad(cls.u, cls.v, e1.label, orientation, e1.src, e1.tar, tuple(cls.members))
-        )
-    if len(classes) != g.n_vertices - 1:
+        orientation = "congruent" if e1.src == e2.src else "opposing"
+        pads.append(Pad(u, v, e1.label, orientation, e1.src, e1.tar, (i, j)))
+    if len(pads) != T.n_vertices - 1:  # T is connected, so n - 1 classes make a tree
         return DoubleTreeReport(False, reason="skeleton has a cycle")
     return DoubleTreeReport(True, tuple(pads))
 
@@ -138,33 +135,18 @@ def double_tree_code(T: TestGraph) -> Optional[tuple]:
     centre, the least over the one or two centres.  A vertex's code is the
     sorted tuple of ``(label, away, child code)`` over its child pads, where
     ``away`` counts the pad's edges that point from the parent to the child.
-    Stars are ignored, as in :func:`classify_double_tree`.  A loop, a class
-    of other than two edges, mixed labels in a class or a skeleton that is
-    not a tree gives None.  Linear in the size of T, up to the sorts.
+    The pads are those of :func:`classify_double_tree`, and the code is None
+    exactly when that refuses T.  Linear in the size of T, up to the sorts.
     """
-    n = T.n_vertices
-    pads: dict[tuple[int, int], list] = {}  # skeleton pair -> [label, src, src]
-    for e in T.edges:
-        s, t = e.src, e.tar
-        if s == t:
-            return None
-        key = (s, t) if s < t else (t, s)
-        pad = pads.get(key)
-        if pad is None:
-            pads[key] = [e.label, s]
-        elif len(pad) == 2 and pad[0] == e.label:
-            pad.append(s)
-        else:
-            return None
-    if len(pads) != n - 1:  # T is connected, so n - 1 classes make a tree
+    rep = classify_double_tree(T)
+    if not rep.is_double_tree:
         return None
-    adj: list[list[tuple[int, str, int, int]]] = [[] for _ in range(n)]
-    for (u, v), pad in pads.items():
-        if len(pad) != 3:
-            return None
-        label, s1, s2 = pad
-        adj[u].append((v, label, s1, s2))
-        adj[v].append((u, label, s1, s2))
+    n = T.n_vertices
+    adj: list[list[tuple[int, str, int]]] = [[] for _ in range(n)]
+    for pad in rep.pads:
+        out = 1 if pad.orientation == "opposing" else 2 * (pad.src == pad.u)  # edges u -> v
+        adj[pad.u].append((pad.v, pad.label, out))
+        adj[pad.v].append((pad.u, pad.label, 2 - out))
     # peel leaves layer by layer; the last one or two vertices are the centres
     degree = [len(a) for a in adj]
     layer = [v for v in range(n) if degree[v] <= 1]
@@ -191,17 +173,14 @@ def double_tree_code(T: TestGraph) -> Optional[tuple]:
     code: list[tuple] = [()] * n
     for v in reversed(order):
         code[v] = tuple(sorted(
-            (label, (s1 == v) + (s2 == v), code[w])
-            for w, label, s1, s2 in adj[v]
-            if w != parent[v]
+            (label, away, code[w]) for w, label, away in adj[v] if w != parent[v]
         ))
     if len(layer) == 1:
         return code[root]
     # rooted at the other centre, the root hangs below it by the central pad
     # with every subtree but the other centre's
     other = layer[1]
-    label, s1, s2 = pads[(root, other) if root < other else (other, root)]
-    away = (s1 == root) + (s2 == root)
+    label, away = next((lab, a) for w, lab, a in adj[root] if w == other)
     rest = list(code[root])
     rest.remove((label, away, code[other]))
     return min(code[root], tuple(sorted(code[other] + ((label, 2 - away, tuple(rest)),))))
@@ -292,20 +271,26 @@ def forest_transform(T: TestGraph, regimes: RegimeAssignment) -> tuple[TestGraph
     rep = classify_double_tree(T)
     if not rep.is_double_tree:
         raise ValueError(f"forest transform needs a colored double tree: {rep.reason}")
-    g = _strip_stars(T)
+    return _forest(T, rep, regimes)
+
+
+def _forest(
+    T: TestGraph, rep: DoubleTreeReport, regimes: RegimeAssignment
+) -> tuple[TestGraph, ...]:
+    """:func:`forest_transform` of the double tree T with pads ``rep.pads``."""
     roles = {}
-    for lab in g.labels():
+    for lab in T.labels():
         if lab not in regimes:
             raise ValueError(f"no regime assigned to label {lab!r}")
         roles[lab] = regime_role(regimes[lab])
-    n = g.n_vertices
+    n = T.n_vertices
     uf = _UnionFind(n)
     for pad in rep.pads:
         if roles[pad.label] == "contract":
             uf.union(pad.u, pad.v)
     vmap, m = _collapse(uf, n)
     kept = [
-        Edge(vmap[g.edges[i].src], vmap[g.edges[i].tar], g.edges[i].label)
+        Edge(vmap[T.edges[i].src], vmap[T.edges[i].tar], pad.label)
         for pad in rep.pads
         if roles[pad.label] == "keep"
         for i in pad.members
@@ -510,7 +495,7 @@ def rbm_ltd(T: TestGraph, regimes: RegimeAssignment, betas: Any = None) -> Numbe
         if not _is_real(_beta_of(betas, lab)):
             raise ValueError("rbm_ltd needs real betas")
     out = _pad_weight(T, rep, betas)
-    for comp in forest_transform(T, regimes):
+    for comp in _forest(T, rep, regimes):
         if comp.n_edges == 0:
             continue
         props = {

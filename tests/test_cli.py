@@ -143,6 +143,21 @@ def test_estimate_complex_beta_under_wigner(capsys):
     assert float(row[7]) < 3
 
 
+def test_estimate_rounding_level_stderr_counts_as_agreement(capsys):
+    # with +-1 entries the injective star trace is a fixed count: the samples
+    # differ only in the last bits, and the O(1/n) gap to 28/27 is a miss
+    code, out, _ = run(
+        capsys, "estimate", "--graph", "e 0 1 x;e 1 0 x;e 0 2 x;e 2 0 x",
+        "--regime", "x=proportional:1/2",
+        "--n", "200", "--samples", "20", "--seed", "3", "--injective",
+        "--entry", "x=rademacher",
+    )
+    assert code == 0
+    row = out.splitlines()[1].split(",")
+    assert 0 < float(row[4]) < 1e-15
+    assert row[7] == "inf"
+
+
 def test_estimate_csv_schema(capsys):
     code, out, _ = run(
         capsys, "estimate", "--graph", PAD, "--n", "20,40", "--samples", "25",

@@ -27,6 +27,7 @@ from traffics.graphs import (
     row_op,
     serialize,
     shape_sum,
+    substitute,
     substitute_graph,
     unit_monomial,
 )
@@ -254,6 +255,38 @@ def test_substitute_graph_requires_every_label():
     (coeff, out), = substitute_graph(g, {"x": edge_monomial("x")})
     assert coeff == 1
     assert canonical_key(out) == canonical_key(g)
+
+
+def test_substitute_own_edges_is_the_identity():
+    own = {lab: edge_monomial(lab) for lab in "xy"}
+    two_terms = TrafficPolynomial.from_terms([(eta("x"), 1), (eta("y* x"), 2)])
+    for t in (eta("x y* x"), eta("y"), row_op("x"), two_terms):
+        assert substitute(t, own) == TrafficPolynomial.wrap(t)
+
+
+def test_substitute_multiplies_coefficients_along_each_edge():
+    p = TrafficPolynomial.from_terms([(eta("y"), 2), (eta("z"), 3)])
+    want = TrafficPolynomial.from_terms([
+        (eta("y y"), 4), (eta("y z"), 6), (eta("z y"), 6), (eta("z z"), 9),
+    ])
+    assert substitute(eta("x x"), {"x": p}) == want
+
+
+def test_substitute_gives_a_starred_edge_the_adjoint():
+    assert substitute(eta("x*"), {"x": eta("y z")}) == TrafficPolynomial.wrap(
+        eta("y z").adjoint()
+    )
+
+
+def test_substitute_then_trace_is_substitute_graph_of_the_trace():
+    t = eta("x y* x")
+    bindings = {
+        "x": TrafficPolynomial.from_terms([(eta("y"), 1), (eta("z x"), 3)]),
+        "y": eta("x z"),
+    }
+    traced = shape_sum((delta(m), c) for m, c in substitute(t, bindings).terms)
+    direct = shape_sum((g, c) for c, g in substitute_graph(delta(t), bindings))
+    assert traced == direct and len(direct) > 1
 
 
 def test_row_col_are_adjoint_shapes():

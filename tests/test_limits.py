@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from traffics import limits
 from traffics.ensembles import BandProfile, EntrySpec, MatrixModel
 from traffics.graphs import Edge, TestGraph, canonical_key, directed_cycle, quotient
-from traffics.independence import _corpus_candidates, build_double_tree_corpus
+from traffics.independence import _corpus_candidates, build_double_tree_corpus, witness_graphs
 from traffics.limits import (
     _horner,
     _taylor_shift,
@@ -116,16 +117,39 @@ def test_star_edges_resolve_to_plain_edges():
 
 
 def test_rejections_carry_reasons():
-    assert "loop" in classify_double_tree(TestGraph(1, (Edge(0, 0, "x"),))).reason
-    assert "1 edges" in classify_double_tree(directed_cycle(3)).reason
-    tripled = TestGraph(2, (Edge(0, 1, "x"),) * 3)
-    assert "3 edges" in classify_double_tree(tripled).reason
-    mixed = TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "y")))
-    assert "mixes labels" in classify_double_tree(mixed).reason
-    doubled_cycle = TestGraph(3, tuple(
-        Edge(i, (i + 1) % 3, "x") for i in range(3) for _ in range(2)
-    ))
-    assert "cycle" in classify_double_tree(doubled_cycle).reason
+    def reason(n, *edges):
+        return classify_double_tree(TestGraph(n, tuple(Edge(*e) for e in edges))).reason
+
+    assert reason(1, (0, 0, "x")) == "loop at vertex 0"
+    assert classify_double_tree(directed_cycle(3)).reason == "class {0,1} has 1 edges"
+    assert reason(2, *[(0, 1, "x")] * 3) == "class {0,1} has 3 edges"
+    assert reason(2, (0, 1, "x"), (1, 0, "y")) == "class {0,1} mixes labels 'x', 'y'"
+    doubled_cycle = [(i, (i + 1) % 3, "x") for i in range(3) for _ in range(2)]
+    assert reason(3, *doubled_cycle) == "skeleton has a cycle"
+    # classes are checked in sorted endpoint order, not in edge order
+    assert reason(
+        3, (1, 2, "x"), (0, 2, "x"), (1, 2, "x"), (0, 1, "x"), (0, 1, "y")
+    ) == "class {0,1} mixes labels 'x', 'y'"
+
+
+@st.composite
+def random_small_graphs(draw, max_vertices=5):
+    """Connected graphs with loops, stars and parallel edges."""
+    n = draw(st.integers(1, max_vertices))
+    ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    ends += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    edges = []
+    for u, v in ends:
+        for _ in range(draw(st.integers(1, 3))):
+            s, t = draw(st.permutations((u, v)))
+            edges.append(Edge(s, t, draw(st.sampled_from("xy")), draw(st.booleans())))
+    return TestGraph(n, tuple(draw(st.permutations(edges))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_small_graphs())
+def test_double_tree_code_is_none_exactly_when_classification_refuses(g):
+    assert (double_tree_code(g) is None) == (not classify_double_tree(g).is_double_tree)
 
 
 @settings(max_examples=40)
@@ -416,17 +440,39 @@ def test_regime_roles():
 
 
 def test_forest_transform_contracts_and_deletes():
+    def pad(lab):
+        return TestGraph(2, (Edge(0, 1, lab), Edge(1, 0, lab)))
+
     star = double_star(("a", "b"))
     regimes = {"a": BandProfile.parse("slow:1/2"), "b": BandProfile.parse("proportional:1/2")}
-    comps = forest_transform(star, regimes)
-    kept = [c for c in comps if c.n_edges]
-    assert len(kept) == 1
-    assert kept[0].labels() == ("b",)
-    assert kept[0].n_vertices == 2
+    assert forest_transform(star, regimes) == (pad("b"),)
 
     regimes = {"a": BandProfile.parse("wigner"), "b": BandProfile.parse("proportional:1/2")}
-    kept = [c for c in forest_transform(star, regimes) if c.n_edges]
-    assert len(kept) == 1 and kept[0].labels() == ("b",)
+    assert forest_transform(star, regimes) == (pad("b"), TestGraph(1))
+
+    path = witness_graphs()["three_pad_path"]
+    regimes = {"x": BandProfile.parse("proportional:1/2"), "y": BandProfile.parse("slow:0.5")}
+    two_pad_path = TestGraph(3, (
+        Edge(0, 1, "x"), Edge(1, 0, "x"), Edge(1, 2, "x"), Edge(2, 1, "x"),
+    ))
+    assert forest_transform(path, regimes) == (two_pad_path,)
+
+
+def test_rbm_ltd_classifies_its_graph_once(monkeypatch):
+    path = witness_graphs()["three_pad_path"]
+    regimes = {"x": BandProfile.parse("proportional:1/2"), "y": BandProfile.parse("slow:0.5")}
+    args = []
+    classify = limits.classify_double_tree
+
+    def counted(T):
+        args.append(T)
+        return classify(T)
+
+    monkeypatch.setattr(limits, "classify_double_tree", counted)
+    assert rbm_ltd(path, regimes) == Fraction(28, 27)
+    assert sum(T is path for T in args) == 1
+    # the wrapper also sees the calls made inside limits, here on the forest's component
+    assert len(args) > 1
 
 
 def test_rbm_ltd_reduces_to_cut_probabilities():
