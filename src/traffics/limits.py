@@ -803,21 +803,39 @@ def haar_ltd(T: TestGraph) -> int:
 # ---------------------------------------------------------------------------
 # summing limits over quotients
 
+def can_pair(T: TestGraph) -> bool:
+    """False when T has no double-tree quotient for a simple reason: a loop,
+    or an odd number of edges of some label (stars ignored).
+
+    Quotients keep every loop and every edge's label, and a double tree has
+    no loop and pairs each edge with one other edge of its label.  True does
+    not promise a quotient.
+    """
+    odd: set[str] = set()
+    for e in T.edges:
+        if e.src == e.tar:
+            return False
+        odd ^= {e.label}
+    return not odd
+
+
 def double_tree_quotients(
     T: TestGraph,
 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], TestGraph]]:
     """All vertex partitions of T whose quotient is a colored double tree.
 
-    Yields (blocks, quotient graph).  The scan assigns vertices to blocks in
-    index order and prunes any prefix that already violates the double-tree
-    conditions (a loop, a class of three edges, mixed labels in a class, or
-    a cycle among completed classes), so it touches far fewer states than
-    the full partition lattice while yielding exactly the same quotients.
+    Yields (blocks, quotient graph).  A graph that :func:`can_pair` refuses
+    yields nothing at once.  Otherwise the scan assigns vertices to blocks
+    in index order and prunes any prefix that already violates the
+    double-tree conditions (a loop, a class of three edges, mixed labels in
+    a class, or a cycle among completed classes), so it touches far fewer
+    states than the full partition lattice while yielding exactly the same
+    quotients.
     """
+    if not can_pair(T):
+        return
     g = _strip_stars(T)
     n = g.n_vertices
-    if any(e.src == e.tar for e in g.edges):
-        return
     later: list[list[tuple[int, str]]] = [[] for _ in range(n)]
     for e in g.edges:
         a, b = (e.src, e.tar) if e.src < e.tar else (e.tar, e.src)

@@ -11,6 +11,14 @@ a_1 = ... = a_m = a.  With an exact limit evaluator the result is exact
 (rationals in, rationals out); the guard order 12 keeps the quotient scans
 tractable.
 
+A double-tree quotient has no loop and pairs each edge with another of its
+label, so a closed graph with a loop or an odd edge count of some label adds
+exactly zero.  Such graphs are dropped before they are canonicalized, and a
+word class whose terms leave a label odd is dropped before it is
+substituted.  Closed graphs that survive must fit the 16-vertex cap of the
+canonical form; a moment sum that meets a larger one raises ``ValueError``
+naming the order.
+
 The Markov element p*x + (q/2) row(x) + (q/2) col(x) is the workhorse: its
 moments are those of the free convolution of a semicircle of variance p^2
 with a Gaussian of variance q^2, and its variance split over the opposing
@@ -29,6 +37,7 @@ import numpy as np
 
 from .ensembles import _double_factorial_odd
 from .graphs import (
+    _CANON_CAP,
     Edge,
     GraphMonomial,
     TestGraph,
@@ -41,7 +50,7 @@ from .graphs import (
     substitute_graph,
     unit_monomial,
 )
-from .limits import catalan, ltd_trace, model_support, wigner_ltd
+from .limits import can_pair, catalan, ltd_trace, model_support, wigner_ltd
 
 Number = Union[int, float, Fraction, complex]
 
@@ -73,17 +82,33 @@ trace_closure = delta
 
 
 def _closed_sum(
-    terms: Iterable[tuple[Any, TestGraph]], ltd_fn: Callable[[TestGraph], Number]
+    terms: Iterable[tuple[Any, Optional[TestGraph]]],
+    ltd_fn: Callable[[TestGraph], Number],
+    order: int,
 ) -> Number:
-    """Sum of coeff * ltd_trace(g) over (coeff, closed graph) pairs, with one
-    ltd_trace per isomorphism class."""
+    """Sum of coeff * ltd_trace(g) over the (coeff, closed graph) pairs of a
+    moment of the given order, with one ltd_trace per isomorphism class.
+
+    A graph that :func:`limits.can_pair` refuses, or None where the caller
+    has already found that its graph would be refused, has no double-tree
+    quotient: it adds coeff * 0, as its empty scan would, without a
+    canonical key or a scan.
+    """
     # Not graphs.shape_sum: ltd_trace runs on the first graph of each class,
     # not on its canonical form, because the pruned double_tree_quotients
     # scan depends on vertex order; on canonical forms a cold Markov pass to
-    # order 7 made 43,056 try_place calls instead of 7,404.
+    # order 7 makes 7,313 try_place calls instead of 2,307.
     memo: dict[tuple, Number] = {}
     total: Number = 0
     for coeff, g in terms:
+        if g is None or not can_pair(g):
+            total = total + coeff * 0
+            continue
+        if g.n_vertices > _CANON_CAP:
+            raise ValueError(
+                f"the moment of order {order} has a closed graph of {g.n_vertices} "
+                f"vertices; moment sums take at most {_CANON_CAP}"
+            )
         key = canonical_key(g)
         if key not in memo:
             memo[key] = ltd_trace(g, ltd_fn)
@@ -96,7 +121,7 @@ def polynomial_trace_ltd(
 ) -> Number:
     """Limit of E (1/n) tr a(A): close each term and sum quotient limits."""
     return _closed_sum(
-        ((coeff, trace_closure(mono)) for mono, coeff in _as_poly(a).terms), ltd_fn
+        ((coeff, trace_closure(mono)) for mono, coeff in _as_poly(a).terms), ltd_fn, 1
     )
 
 
@@ -110,7 +135,9 @@ def _cyclic_word_ltd(
     get ids shared across the slots, so rotating a word only relabels the
     cycle and keeps the coefficient.  Each class of the product set is
     substituted once, at its least rotation, and weighted by how many words
-    of the product set it holds.
+    of the product set it holds.  A class whose terms hold an odd number of
+    edges of some label closes into a graph that cannot pair, so it is not
+    substituted at all: for the Markov element, no word of odd order is.
     """
     m = len(polys)
     ids: dict[tuple[GraphMonomial, Any], int] = {}
@@ -119,22 +146,35 @@ def _cyclic_word_ltd(
     classes = Counter(
         min(w[i:] + w[:i] for i in range(m)) for w in product(*slot_ids)
     )
+    # one bit per label, set where a term holds an odd number of its edges
+    bits: dict[str, int] = {}
+    odd = []
+    for mono, _ in terms:
+        mask = 0
+        for e in mono.graph.edges:
+            mask ^= bits.setdefault(e.label, 1 << len(bits))
+        odd.append(mask)
     # the m-cycle of tr(a_1 ... a_m): entry (i_j, i_{j+1}) of factor j is an
     # edge from the later index vertex into the earlier one
     slots = [f"slot{j}" for j in range(m)]
     cycle = TestGraph(m, tuple(Edge((j + 1) % m, j, slots[j]) for j in range(m)))
 
-    def closed() -> Iterator[tuple[Any, TestGraph]]:
+    def closed() -> Iterator[tuple[Any, Optional[TestGraph]]]:
         for word, count in classes.items():
             coeff: Any = count
+            mask = 0
             for i in word:
                 coeff = coeff * terms[i][1]
+                mask ^= odd[i]
+            if mask:
+                yield coeff, None
+                continue
             ((_, g),) = substitute_graph(
                 cycle, {s: terms[i][0] for s, i in zip(slots, word)}
             )
             yield coeff, g
 
-    return _closed_sum(closed(), ltd_fn)
+    return _closed_sum(closed(), ltd_fn, m)
 
 
 def traffic_moment(
@@ -203,8 +243,8 @@ def clt_alpha_split(
     double_edge = TestGraph(2, (Edge(0, 1, "slot0"), Edge(1, 0, "slot0")))
     double_loop = TestGraph(1, (Edge(0, 0, "slot0"), Edge(0, 0, "slot0")))
 
-    loops = _closed_sum(substitute_graph(double_loop, {"slot0": poly}), ltd)
-    return _closed_sum(substitute_graph(double_edge, {"slot0": poly}), ltd) - loops, loops
+    loops = _closed_sum(substitute_graph(double_loop, {"slot0": poly}), ltd, 2)
+    return _closed_sum(substitute_graph(double_edge, {"slot0": poly}), ltd, 2) - loops, loops
 
 
 def semicircle_moment(m: int) -> int:

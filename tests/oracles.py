@@ -7,6 +7,7 @@ with the package internals it checks.
 """
 
 import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,6 +109,46 @@ def word_trace_terms(elements) -> tuple:
     slots = [f"slot{j}" for j in range(m)]
     cycle = TestGraph(m, tuple(Edge((j + 1) % m, j, slots[j]) for j in range(m)))
     return substitute_graph(cycle, dict(zip(slots, elements)))
+
+
+def closed_sum_reference(terms, ltd_fn):
+    """Sum of coeff * ltd_trace(g) over (coeff, closed graph) pairs with one
+    ltd_trace per canonical key, every graph keyed and scanned: the moment
+    sums' loop before they skipped graphs that cannot pair."""
+    from traffics.graphs import canonical_key
+    from traffics.limits import ltd_trace
+
+    memo = {}
+    total = 0
+    for coeff, g in terms:
+        key = canonical_key(g)
+        if key not in memo:
+            memo[key] = ltd_trace(g, ltd_fn)
+        total = total + coeff * memo[key]
+    return total
+
+
+def cyclic_word_reference(polys, ltd_fn):
+    """E (1/n) tr(a_1 ... a_m) over rotation classes of cyclic words, in the
+    order the moment sums use, with every class substituted and summed by
+    :func:`closed_sum_reference`."""
+    m = len(polys)
+    ids = {}
+    slot_ids = [tuple(ids.setdefault(t, len(ids)) for t in p.terms) for p in polys]
+    terms = list(ids)
+    classes = Counter(min(w[i:] + w[:i] for i in range(m)) for w in product(*slot_ids))
+    slots = [f"slot{j}" for j in range(m)]
+    cycle = TestGraph(m, tuple(Edge((j + 1) % m, j, slots[j]) for j in range(m)))
+
+    def closed():
+        for word, count in classes.items():
+            coeff = count
+            for i in word:
+                coeff = coeff * terms[i][1]
+            ((_, g),) = substitute_graph(cycle, {s: terms[i][0] for s, i in zip(slots, word)})
+            yield coeff, g
+
+    return closed_sum_reference(closed(), ltd_fn)
 
 
 def mc_cut_volume(T: TestGraph, proportions, points: int, seed: int = 0) -> float:

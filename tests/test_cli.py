@@ -342,6 +342,16 @@ def test_moments_refuse_fixed_bands_with_the_shared_guard(capsys):
     assert json.loads(err)["message"] == str(exc.value)
 
 
+def test_moments_name_the_order_of_a_closed_graph_too_large(capsys):
+    code, out, err = run(capsys, "moments", "--poly", "x*x*x", "--order", "6")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "the moment of order 6 has a closed graph of 18 vertices; "
+                   "moment sums take at most 16",
+    }
+
+
 def test_moments_table(capsys):
     code, out, _ = run(capsys, "moments", "--poly", "x", "--order", "4")
     assert code == 0

@@ -790,6 +790,22 @@ def test_quotient_scan_matches_lattice_filter(n, data):
     assert scanned == filtered
 
 
+def _blocks(partition):
+    return tuple(sorted(tuple(sorted(b)) for b in partition))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_small_graphs())
+def test_can_pair_refuses_only_graphs_without_double_tree_quotients(g):
+    lattice = sorted(
+        _blocks(pi) for pi in enumerate_partitions(g.n_vertices)
+        if classify_double_tree(quotient(g, pi)).is_double_tree
+    )
+    assert sorted(_blocks(bl) for bl, _ in double_tree_quotients(g)) == lattice
+    if not limits.can_pair(g):
+        assert lattice == []
+
+
 def test_ltd_trace_supports_agree_for_wigner():
     for g in (directed_cycle(4), pad2("congruent"), anti_cycle(4)):
         a = ltd_trace(g, wigner_ltd, support="double_tree")

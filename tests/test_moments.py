@@ -1,5 +1,6 @@
 """Limiting moments of graph polynomials and the Markov family."""
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -7,9 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from traffics import moments
+from traffics import graphs, moments
 from traffics.ensembles import BandProfile
-from traffics.graphs import Edge, TestGraph, TrafficPolynomial, canonical_key, edge_monomial
+from traffics.graphs import (
+    Edge,
+    TestGraph,
+    TrafficPolynomial,
+    canonical_key,
+    edge_monomial,
+    substitute_graph,
+)
 from traffics.independence import free_cumulants, noncrossing_partitions
 from traffics.limits import ltd_trace, rbm_ltd, wigner_ltd
 from traffics.moments import (
@@ -29,6 +37,8 @@ from traffics.moments import (
 
 from oracles import (
     catalan_by_recurrence,
+    closed_sum_reference,
+    cyclic_word_reference,
     double_factorial_odd,
     ltd_trace_reference,
     word_trace_terms,
@@ -283,6 +293,97 @@ def test_periodic_words_count_their_true_class_size():
                 for k in range(m + 1)
             )
             assert traffic_moment(a, m) == want
+
+
+# ---------------------------------------------------------------------------
+# pruned sums against the unpruned reference
+
+def _same(got, want):
+    assert (got, type(got)) == (want, type(want))
+
+
+BAND_REGIMES = {
+    "x": BandProfile("proportional", c=Fraction(1, 2)),
+    "y": BandProfile("slow", gamma=0.5),
+}
+PRUNING_EVALUATORS = {
+    "wigner": wigner_ltd,
+    "complex_beta": lambda T: wigner_ltd(T, {"x": 0.6j, "y": 0.3 + 0.4j}),
+    "band": lambda T: rbm_ltd(T, BAND_REGIMES),
+}
+
+
+def test_pruned_markov_moments_match_the_unpruned_sums():
+    a = markov_element(Fraction(1, 2), Fraction(3, 2))
+    _same(traffic_moment(a, 0), ltd_trace(TestGraph(1), wigner_ltd))
+    for m in range(1, 9):
+        _same(traffic_moment(a, m), cyclic_word_reference([a] * m, wigner_ltd))
+
+
+@pytest.mark.parametrize("name", sorted(PRUNING_EVALUATORS))
+def test_pruned_mixed_moments_match_the_unpruned_sums(name):
+    ltd = PRUNING_EVALUATORS[name]
+    a = parse_poly("x*y + y*x")
+    for m in range(1, 6):
+        _same(mixed_moment_ltd([a] * m, ltd), cyclic_word_reference([a] * m, ltd))
+    word = [a, parse_poly("x + 1/2*row(y)"), a, parse_poly("y - col(x) + 2*unit")]
+    _same(mixed_moment_ltd(word, ltd), cyclic_word_reference(word, ltd))
+
+
+@pytest.mark.parametrize("name", sorted(PRUNING_EVALUATORS))
+def test_pruned_clt_split_and_traces_match_the_unpruned_sums(name):
+    ltd = PRUNING_EVALUATORS[name]
+    double_edge = TestGraph(2, (Edge(0, 1, "slot0"), Edge(1, 0, "slot0")))
+    double_loop = TestGraph(1, (Edge(0, 0, "slot0"), Edge(0, 0, "slot0")))
+    polys = [markov_element(Fraction(1, 2), Fraction(3, 2)), parse_poly("x*y + y*x"),
+             parse_poly("x + 1/2*row(y) - col(x)"), _starred()]
+    for a in polys:
+        loops = closed_sum_reference(substitute_graph(double_loop, {"slot0": a}), ltd)
+        edges = closed_sum_reference(substitute_graph(double_edge, {"slot0": a}), ltd)
+        got = clt_alpha_split(a, ltd)
+        _same(got[0], edges - loops)
+        _same(got[1], loops)
+        for m in range(1, 5):
+            power = poly_power(a, m)
+            want = closed_sum_reference(
+                ((c, trace_closure(mono)) for mono, c in power.terms), ltd)
+            _same(polynomial_trace_ltd(power, ltd), want)
+
+
+def test_odd_markov_orders_build_no_graph(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(moments, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(moments, name, wrapper)
+
+    counted("canonical_key")
+    counted("substitute_graph")
+    graphs.canonical_key.cache_clear()
+    graphs.canonical_form.cache_clear()
+    a = markov_element(Fraction(1, 2), Fraction(3, 2))
+    keys = 0
+    for k in range(1, 8):
+        calls.clear()
+        got = traffic_moment(a, k)
+        keys += calls["canonical_key"]
+        if k % 2:
+            assert not calls, k
+            _same(got, Fraction(0))
+    assert keys == 118
+
+
+def test_moment_sums_name_the_order_of_a_graph_too_large():
+    cube = parse_poly("x*x*x")
+    with pytest.raises(ValueError, match="order 6 has a closed graph of 18 vertices"):
+        traffic_moment(cube, 6)
+    # an odd edge count drops every graph before the size check
+    _same(traffic_moment(cube, 7), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@ call the library through them; a refactor that moves or drops one of them,
 or changes a value a workload checks, must fail here, not in
 ``perfbench/run.py``."""
 
+import importlib
 import importlib.util
 import os
+import pkgutil
 
+import traffics
 from traffics import engine, ensembles, graphs, limits, moments
 from traffics.graphs import Edge, TestGraph
 
@@ -49,3 +52,30 @@ def test_every_workload_passes_its_checks_at_its_default_seed():
         workloads.reset_caches()
         failed = [(check[0], check[2]) for check in wl.check(wl.run(null)) if not check[1]]
         assert not failed, (name, failed)
+
+
+def _library_caches():
+    """Every functools.lru_cache at module level in the package."""
+    found = {}
+    for info in pkgutil.iter_modules(traffics.__path__):
+        module = importlib.import_module(f"traffics.{info.name}")
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_info", None)):
+                found[id(value)] = (f"{value.__module__}.{value.__qualname__}", value)
+    return list(found.values())
+
+
+def test_every_cache_a_pass_fills_is_one_reset_caches_clears():
+    workloads, null = _load("workloads"), _load("tracing").NullTracer()
+    caches = _library_caches()
+    assert caches
+    for name, cls in workloads.WORKLOADS.items():
+        wl = cls(None)
+        for _, cached in caches:
+            cached.cache_clear()
+        wl.run(null)
+        filled = [(qualname, cached) for qualname, cached in caches
+                  if cached.cache_info().currsize]
+        workloads.reset_caches()
+        kept = [qualname for qualname, cached in filled if cached.cache_info().currsize]
+        assert not kept, (name, kept)
