@@ -419,6 +419,13 @@ def _pad_proportions(
     return out
 
 
+def _double_tree_report(T: TestGraph, what: str) -> DoubleTreeReport:
+    rep = classify_double_tree(T)
+    if not rep.is_double_tree:
+        raise ValueError(f"{what} needs a colored double tree: {rep.reason}")
+    return rep
+
+
 def cut_integral(T: TestGraph, proportions: Any) -> Fraction:
     """Exact volume of band-compatible vertex positions.
 
@@ -429,12 +436,14 @@ def cut_integral(T: TestGraph, proportions: Any) -> Fraction:
     integer, so the elimination runs in plain integers, and the result is
     one ``Fraction`` built at the end, divided by D^|V|.
     """
-    rep = classify_double_tree(T)
-    if not rep.is_double_tree:
-        raise ValueError(f"cut integral needs a colored double tree: {rep.reason}")
-    cs = _pad_proportions(rep, proportions)
+    rep = _double_tree_report(T, "cut integral")
+    return _cut_integral(T.n_vertices, _pad_proportions(rep, proportions))
+
+
+def _cut_integral(n: int, cs: Mapping[tuple[int, int], Fraction]) -> Fraction:
+    """:func:`cut_integral` of the double tree on n vertices whose pads
+    {u, v} have the proportions ``cs[(u, v)]``."""
     D = math.lcm(*(c.denominator for c in cs.values()))
-    n = T.n_vertices
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
     for (u, v), c in cs.items():
         C = c.numerator * (D // c.denominator)
@@ -465,10 +474,11 @@ def cut_integral(T: TestGraph, proportions: Any) -> Fraction:
 
 def norm_factor(T: TestGraph, proportions: Any) -> Fraction:
     """Product over pads of (2c - c^2), the single-pad cut volume."""
-    rep = classify_double_tree(T)
-    if not rep.is_double_tree:
-        raise ValueError(f"norm factor needs a colored double tree: {rep.reason}")
-    cs = _pad_proportions(rep, proportions)
+    rep = _double_tree_report(T, "norm factor")
+    return _norm_factor(_pad_proportions(rep, proportions))
+
+
+def _norm_factor(cs: Mapping[tuple[int, int], Fraction]) -> Fraction:
     out = Fraction(1)
     for c in cs.values():
         out *= 2 * c - c * c
@@ -480,13 +490,20 @@ def cut_probability(T: TestGraph, proportions: Any) -> Fraction:
     return cut_integral(T, proportions) / norm_factor(T, proportions)
 
 
+def _cut_probability(T: TestGraph, proportions: Any) -> Fraction:
+    """:func:`cut_probability` from one classification of T."""
+    cs = _pad_proportions(_double_tree_report(T, "cut integral"), proportions)
+    return _cut_integral(T.n_vertices, cs) / _norm_factor(cs)
+
+
 def rbm_ltd(T: TestGraph, regimes: RegimeAssignment, betas: Any = None) -> Number:
     """Limit of tau^0[T] for independent band families.
 
     Zero off double trees; otherwise the Wigner pad weight prod
     beta_i^(congruent count) times the cut probability p_F of the forest
     transform.  Betas must be real here (non-real pseudo-variances are a
-    Wigner-regime refinement only).
+    Wigner-regime refinement only).  T and each kept component of its
+    forest are classified once each.
     """
     rep = classify_double_tree(T)
     if not rep.is_double_tree:
@@ -501,7 +518,7 @@ def rbm_ltd(T: TestGraph, regimes: RegimeAssignment, betas: Any = None) -> Numbe
         props = {
             lab: regimes[lab].c for lab in comp.labels()
         }
-        out = out * cut_probability(comp, props)
+        out = out * _cut_probability(comp, props)
     return out
 
 

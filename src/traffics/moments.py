@@ -5,19 +5,21 @@ test graphs: slot j of the directed m-cycle takes one term of a_j, so each
 word of term choices gives one closed graph, and its limit is the sum of the
 limiting injective values over its double-tree quotients.  Rotating a word
 only relabels the cycle and keeps the product of coefficients, so the sum
-runs over rotation classes of cyclic words, one graph per class, weighted by
-the number of words in the class.  The m-th moment of a is the case
-a_1 = ... = a_m = a.  With an exact limit evaluator the result is exact
-(rationals in, rationals out); the guard order 12 keeps the quotient scans
-tractable.
+runs over rotation classes of cyclic words, weighted by the number of words
+in the class.  The m-th moment of a is the case a_1 = ... = a_m = a, whose
+classes are generated directly as necklaces.  A class is keyed by its word
+read as a cycle of steps with commuting decorations at the junctions, and
+equal keys close into isomorphic graphs, so each key is substituted and
+scanned once, with no canonical search.  With an exact limit evaluator the
+result is exact (rationals in, rationals out); the guard order 12 keeps the
+quotient scans tractable.
 
 A double-tree quotient has no loop and pairs each edge with another of its
 label, so a closed graph with a loop or an odd edge count of some label adds
-exactly zero.  Such graphs are dropped before they are canonicalized, and a
-word class whose terms leave a label odd is dropped before it is
-substituted.  Closed graphs that survive must fit the 16-vertex cap of the
-canonical form; a moment sum that meets a larger one raises ``ValueError``
-naming the order.
+exactly zero.  A word class whose terms leave a label odd is dropped before
+it is keyed or substituted, and a closed graph with a loop before it is
+scanned.  Closed graphs that survive must have at most 16 vertices; a moment
+sum that meets a larger one raises ``ValueError`` naming the order.
 
 The Markov element p*x + (q/2) row(x) + (q/2) col(x) is the workhorse: its
 moments are those of the free convolution of a semicircle of variance p^2
@@ -82,38 +84,57 @@ trace_closure = delta
 
 
 def _closed_sum(
-    terms: Iterable[tuple[Any, Optional[TestGraph]]],
+    terms: Iterable[tuple[Any, Any, Callable[[], TestGraph]]],
     ltd_fn: Callable[[TestGraph], Number],
     order: int,
 ) -> Number:
-    """Sum of coeff * ltd_trace(g) over the (coeff, closed graph) pairs of a
-    moment of the given order, with one ltd_trace per isomorphism class.
+    """Sum of coeff * ltd_trace(close()) over the (coeff, key, close) terms
+    of a moment of the given order, with one close() and one ltd_trace per
+    key.
 
-    A graph that :func:`limits.can_pair` refuses, or None where the caller
-    has already found that its graph would be refused, has no double-tree
-    quotient: it adds coeff * 0, as its empty scan would, without a
-    canonical key or a scan.
+    Terms with equal keys must close into isomorphic graphs.  A closed graph
+    that :func:`limits.can_pair` refuses has no double-tree quotient and adds
+    coeff * 0, as its empty scan would; the key None marks terms the caller
+    already knows to close into such a graph, and they are never closed.
+    The scan runs on the first graph of each key as it was glued, not on a
+    canonical form: the pruned scan depends on vertex order, and the glued
+    numbering is the cheaper one to scan.
     """
-    # Not graphs.shape_sum: ltd_trace runs on the first graph of each class,
-    # not on its canonical form, because the pruned double_tree_quotients
-    # scan depends on vertex order; on canonical forms a cold Markov pass to
-    # order 7 makes 7,313 try_place calls instead of 2,307.
-    memo: dict[tuple, Number] = {}
+    memo: dict[Any, Number] = {None: 0}
     total: Number = 0
-    for coeff, g in terms:
-        if g is None or not can_pair(g):
-            total = total + coeff * 0
-            continue
-        if g.n_vertices > _CANON_CAP:
-            raise ValueError(
-                f"the moment of order {order} has a closed graph of {g.n_vertices} "
-                f"vertices; moment sums take at most {_CANON_CAP}"
-            )
-        key = canonical_key(g)
-        if key not in memo:
-            memo[key] = ltd_trace(g, ltd_fn)
-        total = total + coeff * memo[key]
+    for coeff, key, close in terms:
+        value = memo.get(key)
+        if value is None:
+            g = close()
+            if not can_pair(g):
+                value = 0
+            elif g.n_vertices > _CANON_CAP:
+                raise ValueError(
+                    f"the moment of order {order} has a closed graph of {g.n_vertices} "
+                    f"vertices; moment sums take at most {_CANON_CAP}"
+                )
+            else:
+                value = ltd_trace(g, ltd_fn)
+            memo[key] = value
+        total = total + coeff * value
     return total
+
+
+def _canonical_terms(
+    pairs: Iterable[tuple[Any, TestGraph]]
+) -> Iterator[tuple[Any, Any, Callable[[], TestGraph]]]:
+    """:func:`_closed_sum` terms of closed graphs in hand, keyed by
+    ``canonical_key``.  A graph that cannot pair is keyed None; one past the
+    vertex cap of the canonical form is keyed by itself, so that
+    :func:`_closed_sum` refuses it by the order of the moment."""
+    for coeff, g in pairs:
+        if not can_pair(g):
+            key = None
+        elif g.n_vertices > _CANON_CAP:
+            key = g
+        else:
+            key = canonical_key(g)
+        yield coeff, key, lambda g=g: g
 
 
 def polynomial_trace_ltd(
@@ -121,8 +142,38 @@ def polynomial_trace_ltd(
 ) -> Number:
     """Limit of E (1/n) tr a(A): close each term and sum quotient limits."""
     return _closed_sum(
-        ((coeff, trace_closure(mono)) for mono, coeff in _as_poly(a).terms), ltd_fn, 1
+        _canonical_terms((coeff, trace_closure(mono)) for mono, coeff in _as_poly(a).terms),
+        ltd_fn,
+        1,
     )
+
+
+def _necklaces(k: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The rotation classes of the k^m words of length m over range(k), as
+    (least rotation, period) in lexicographic order; a class holds as many
+    words as its period.
+
+    Fredricksen-Kessler-Maiorana: step through the prenecklaces in
+    lexicographic order, each the periodic extension of its first p letters,
+    and keep those whose period p divides m (Ruskey, Savage & Wang,
+    "Generating necklaces", J. Algorithms 1992).
+    """
+    if k < 1:
+        return
+    a = [0] * m
+    p = 1
+    while True:
+        if m % p == 0:
+            yield tuple(a), p
+        j = m - 1
+        while j >= 0 and a[j] == k - 1:
+            j -= 1
+        if j < 0:
+            return
+        a[j] += 1
+        for i in range(j + 1, m):
+            a[i] = a[i - j - 1]
+        p = j + 1
 
 
 def _cyclic_word_ltd(
@@ -133,46 +184,83 @@ def _cyclic_word_ltd(
 
     A word picks one term of polynomial j for slot j of the m-cycle; terms
     get ids shared across the slots, so rotating a word only relabels the
-    cycle and keeps the coefficient.  Each class of the product set is
-    substituted once, at its least rotation, and weighted by how many words
-    of the product set it holds.  A class whose terms hold an odd number of
+    cycle and keeps the coefficient.  Each class is weighted by how many
+    words of the product set it holds.  When every slot holds the same
+    terms the classes are generated as necklaces; otherwise the product set
+    is grouped by least rotation.  A class whose terms hold an odd number of
     edges of some label closes into a graph that cannot pair, so it is not
     substituted at all: for the Markov element, no word of odd order is.
+
+    The closed graph of a word is a cycle of its steps (terms whose roots
+    differ), each junction carrying the decorations (terms with one root)
+    that sit between two steps, in any order.  So a class is keyed by the
+    least rotation of its cyclic sequence of (sorted decorations, step)
+    runs, with terms named by their monomial and edgeless decorations left
+    out, or, with no step, by its sorted decorations alone; equal keys
+    close into isomorphic graphs.
     """
     m = len(polys)
     ids: dict[tuple[GraphMonomial, Any], int] = {}
     slot_ids = [tuple(ids.setdefault(t, len(ids)) for t in p.terms) for p in polys]
     terms = list(ids)
-    classes = Counter(
-        min(w[i:] + w[:i] for i in range(m)) for w in product(*slot_ids)
-    )
-    # one bit per label, set where a term holds an odd number of its edges
+    if all(s == slot_ids[0] for s in slot_ids):
+        classes: Iterable[tuple[tuple[int, ...], int]] = _necklaces(len(terms), m)
+    else:
+        classes = Counter(
+            min(w[i:] + w[:i] for i in range(m)) for w in product(*slot_ids)
+        ).items()
+    # one bit per label, set where a term holds an odd number of its edges;
+    # the monomial of each term, None for the unit; which terms are steps
     bits: dict[str, int] = {}
     odd = []
+    monos: dict[GraphMonomial, int] = {}
+    mono_id: list[Optional[int]] = []
+    step = []
     for mono, _ in terms:
         mask = 0
         for e in mono.graph.edges:
             mask ^= bits.setdefault(e.label, 1 << len(bits))
         odd.append(mask)
+        mono_id.append(monos.setdefault(mono, len(monos)) if mono.graph.edges else None)
+        step.append(mono.v_in != mono.v_out)
     # the m-cycle of tr(a_1 ... a_m): entry (i_j, i_{j+1}) of factor j is an
     # edge from the later index vertex into the earlier one
     slots = [f"slot{j}" for j in range(m)]
     cycle = TestGraph(m, tuple(Edge((j + 1) % m, j, slots[j]) for j in range(m)))
 
-    def closed() -> Iterator[tuple[Any, Optional[TestGraph]]]:
-        for word, count in classes.items():
+    def key(word: tuple[int, ...]) -> Any:
+        runs: list[tuple[tuple[int, ...], int]] = []
+        decorations: list[int] = []
+        for i in word:
+            if step[i]:
+                runs.append((tuple(sorted(decorations)), mono_id[i]))
+                decorations = []
+            elif mono_id[i] is not None:
+                decorations.append(mono_id[i])
+        if not runs:
+            return tuple(sorted(decorations))
+        if decorations:  # the junction before the first step, cyclically
+            runs[0] = (tuple(sorted(decorations + list(runs[0][0]))), runs[0][1])
+        return tuple(min(runs[i:] + runs[:i] for i in range(len(runs))))
+
+    def closed() -> Iterator[tuple[Any, Any, Optional[Callable[[], TestGraph]]]]:
+        for word, count in classes:
             coeff: Any = count
             mask = 0
             for i in word:
                 coeff = coeff * terms[i][1]
                 mask ^= odd[i]
             if mask:
-                yield coeff, None
+                yield coeff, None, None
                 continue
-            ((_, g),) = substitute_graph(
-                cycle, {s: terms[i][0] for s, i in zip(slots, word)}
-            )
-            yield coeff, g
+
+            def close(word: tuple[int, ...] = word) -> TestGraph:
+                ((_, g),) = substitute_graph(
+                    cycle, {s: terms[i][0] for s, i in zip(slots, word)}
+                )
+                return g
+
+            yield coeff, key(word), close
 
     return _closed_sum(closed(), ltd_fn, m)
 
@@ -243,8 +331,11 @@ def clt_alpha_split(
     double_edge = TestGraph(2, (Edge(0, 1, "slot0"), Edge(1, 0, "slot0")))
     double_loop = TestGraph(1, (Edge(0, 0, "slot0"), Edge(0, 0, "slot0")))
 
-    loops = _closed_sum(substitute_graph(double_loop, {"slot0": poly}), ltd, 2)
-    return _closed_sum(substitute_graph(double_edge, {"slot0": poly}), ltd, 2) - loops, loops
+    def split(g: TestGraph) -> Number:
+        return _closed_sum(_canonical_terms(substitute_graph(g, {"slot0": poly})), ltd, 2)
+
+    loops = split(double_loop)
+    return split(double_edge) - loops, loops
 
 
 def semicircle_moment(m: int) -> int:

@@ -475,6 +475,29 @@ def test_rbm_ltd_classifies_its_graph_once(monkeypatch):
     assert len(args) > 1
 
 
+def test_rbm_ltd_classifies_each_kept_component_once(monkeypatch):
+    # two two-pad paths of x joined by a full-width pad of w, which the
+    # forest transform deletes
+    g = TestGraph(6, tuple(
+        e for u, lab in ((0, "x"), (1, "x"), (2, "w"), (3, "x"), (4, "x"))
+        for e in (Edge(u, u + 1, lab), Edge(u + 1, u, lab))
+    ))
+    regimes = {"x": BandProfile.parse("proportional:1/2"), "w": BandProfile.parse("wigner")}
+    kept = [comp for comp in forest_transform(g, regimes) if comp.n_edges]
+    assert len(kept) == 2
+    calls = []
+    classify = limits.classify_double_tree
+
+    def counted(T):
+        calls.append(T)
+        return classify(T)
+
+    monkeypatch.setattr(limits, "classify_double_tree", counted)
+    assert rbm_ltd(g, regimes) == Fraction(28, 27) ** 2
+    assert len(calls) == 1 + len(kept)
+    assert calls[1:] == kept
+
+
 def test_rbm_ltd_reduces_to_cut_probabilities():
     star = double_star(("x", "y"))
     regimes = {

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -12,6 +13,7 @@ from traffics import graphs, moments
 from traffics.ensembles import BandProfile
 from traffics.graphs import (
     Edge,
+    GraphMonomial,
     TestGraph,
     TrafficPolynomial,
     canonical_key,
@@ -19,7 +21,7 @@ from traffics.graphs import (
     substitute_graph,
 )
 from traffics.independence import free_cumulants, noncrossing_partitions
-from traffics.limits import ltd_trace, rbm_ltd, wigner_ltd
+from traffics.limits import can_pair, ltd_trace, rbm_ltd, wigner_ltd
 from traffics.moments import (
     clt_alpha_split,
     eval_polynomial_matrix,
@@ -178,6 +180,16 @@ def test_markov_matches_free_convolution(p, q):
     want = boxplus_moments(kappa_sc, kappa_n, range(1, upto + 1))
     got = [markov_moments(p, q, m) for m in range(1, upto + 1)]
     assert got == want
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m, want", [(10, Fraction(32357631, 512)),
+                                     (12, Fraction(796013139, 512))])
+def test_markov_moments_at_orders_10_and_12_match_the_free_convolution(m, want):
+    p, q = Fraction(1, 2), Fraction(3, 2)
+    (oracle,) = boxplus_moments([0, p * p] + [0] * (m - 2), gaussian_free_cumulants(q, m), [m])
+    _same(oracle, want)
+    _same(markov_moments(p, q, m), want)
 
 
 def test_clt_variance_split():
@@ -375,7 +387,92 @@ def test_odd_markov_orders_build_no_graph(monkeypatch):
         if k % 2:
             assert not calls, k
             _same(got, Fraction(0))
-    assert keys == 118
+    # classes are keyed by their cyclic words, not by canonical search
+    assert keys == 0
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_necklaces_are_the_rotation_classes_in_order(k):
+    for m in range(1, 9):
+        classes = Counter(
+            min(w[i:] + w[:i] for i in range(m)) for w in product(range(k), repeat=m)
+        )
+        necklaces = list(moments._necklaces(k, m))
+        assert necklaces == list(classes.items()), (k, m)
+        for word, period in necklaces:
+            assert word[period:] + word[:period] == word
+
+
+def test_the_zero_polynomial_has_zero_moments():
+    for m in range(1, 9):
+        _same(markov_moments(0, 0, m), 0)
+
+
+def _keyed_graphs(run):
+    """(key, closed graph) of every word class a moment sum keys, taken
+    from the terms that reach _closed_sum."""
+    seen = []
+
+    def capture(terms, ltd_fn, order):
+        for _, key, close in terms:
+            if key is not None:
+                seen.append((key, close()))
+        return 0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments, "_closed_sum", capture)
+        run()
+    return seen
+
+
+def _key_poly(picks):
+    pool = [
+        TrafficPolynomial.wrap(edge_monomial("x")),
+        TrafficPolynomial.wrap(edge_monomial("x", star=True)),
+        TrafficPolynomial.wrap(edge_monomial("y")),
+        parse_poly("row(x)"),
+        parse_poly("col(y)"),
+        parse_poly("unit"),
+        parse_poly("x*y"),
+        parse_poly("row(x)*col(y)"),
+        TrafficPolynomial.wrap(GraphMonomial(TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "y"))), 0, 0)),
+    ]
+    return sum((c * pool[i] for i, c in picks.items()), TrafficPolynomial.from_terms(()))
+
+
+_POLY_PICKS = st.dictionaries(st.integers(0, 8), st.integers(1, 3), min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_POLY_PICKS, min_size=1, max_size=3), st.integers(1, 6), st.randoms())
+def test_equal_word_keys_close_into_isomorphic_graphs(picks, m, rnd):
+    polys = [_key_poly(p) for p in picks]
+    word = [rnd.choice(polys) for _ in range(m)]
+    for run in (lambda: traffic_moment(polys[0], m), lambda: mixed_moment_ltd(word)):
+        by_key = {}
+        for key, g in _keyed_graphs(run):
+            by_key.setdefault(key, set()).add(canonical_key(g))
+        assert all(len(forms) == 1 for forms in by_key.values())
+
+
+def test_markov_word_keys_merge_what_canonical_keys_merge(monkeypatch):
+    # one ltd_trace per isomorphism class of closed graphs that can pair
+    a = markov_element(Fraction(1, 2), Fraction(3, 2))
+    scans = []
+    trace = moments.ltd_trace
+
+    def counted(T, ltd_fn):
+        scans.append(T)
+        return trace(T, ltd_fn)
+
+    for m in range(1, 9):
+        classes = {canonical_key(g) for _, g in _keyed_graphs(lambda: traffic_moment(a, m))
+                   if can_pair(g)}
+        with monkeypatch.context() as mp:
+            mp.setattr(moments, "ltd_trace", counted)
+            scans.clear()
+            traffic_moment(a, m)
+        assert len(scans) == len(classes), m
 
 
 def test_moment_sums_name_the_order_of_a_graph_too_large():
