@@ -73,10 +73,8 @@ from .limits import (
     catalan,
     classify_double_tree,
     classify_orthogonal_cactus,
-    closed_form_reference,
     cut_integral,
     cut_probability,
-    degree_moment_order,
     double_tree_code,
     double_tree_quotients,
     fixed_band_count,
@@ -97,7 +95,6 @@ from .moments import (
     markov_moments,
     mixed_moment_ltd,
     parse_poly,
-    polynomial_trace_ltd,
     semicircle_moment,
     traffic_moment,
 )

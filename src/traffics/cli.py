@@ -7,10 +7,9 @@ Subcommands:
 * ``concentration``  central-moment decay and fitted log-log slope (CSV+JSON)
 * ``independence``   factorization audit over the double-tree corpus (JSON)
 * ``moments``        exact moment table of a graph polynomial
-* ``selftest``       fast oracle-equivalence suites
 
-Every subcommand but ``selftest`` builds one matrix model from its label
-flags and takes its exact evaluator from ``limits.model_ltd``.
+Every subcommand builds one matrix model from its label flags and takes its
+exact evaluator from ``limits.model_ltd``.
 
 Flag values override config-file entries (``key = value`` lines, each naming
 a flag of the subcommand), which override defaults; the thread count falls
@@ -124,7 +123,8 @@ def _parse_beta(text: str) -> Any:
     except ZeroDivisionError:
         raise ValueError(f"beta {text!r} divides by zero") from None
     except ValueError:
-        return complex(text.replace("i", "j"))
+        # only a trailing i is the imaginary unit: 0.6i and 1+2i, not the i of inf
+        return complex(text[:-1] + "j" if text.endswith("i") else text)
 
 
 def _parse_entry(text: str) -> ensembles.EntrySpec:
@@ -378,81 +378,6 @@ def _cmd_moments(res: _Resolver) -> int:
     return 0
 
 
-def _cmd_selftest(res: _Resolver) -> int:
-    import numpy as np
-
-    seed = res.int_("seed", 0)
-    rng = ensembles.stream(seed)
-    failures: list[str] = []
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        if ok:
-            sys.stdout.write(f"ok {name}\n")
-        else:
-            failures.append(name)
-            sys.stdout.write(f"FAIL {name}: {detail}\n")
-
-    # engine vs direct enumeration
-    n = 6
-    mats = {
-        "x": rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
-        "y": rng.standard_normal((n, n)),
-    }
-    small = [
-        graphs.TestGraph(2, (graphs.Edge(0, 1, "x"), graphs.Edge(1, 0, "x"))),
-        graphs.TestGraph(3, (graphs.Edge(0, 1, "x"), graphs.Edge(1, 2, "y"),
-                             graphs.Edge(2, 0, "x", True))),
-        graphs.TestGraph(2, (graphs.Edge(0, 1, "x"), graphs.Edge(0, 1, "y"),
-                             graphs.Edge(0, 0, "x"))),
-    ]
-    worst = 0.0
-    for T in small:
-        a = engine.trace_test_graph(T, mats)
-        b = engine.trace_full_direct(T, mats)
-        worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    check("engine-full-trace", worst < 1e-9, f"rel err {worst:.2e}")
-    worst = 0.0
-    for T in small:
-        a = engine.trace_injective(T, mats)
-        b = engine.trace_injective_direct(T, mats)
-        worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    check("engine-injective", worst < 1e-9, f"rel err {worst:.2e}")
-
-    # Mobius inversion: tr = sum of injective traces over quotients
-    from .partitions import enumerate_partitions
-
-    worst = 0.0
-    for T in small:
-        total = 0.0 + 0.0j
-        for pi in enumerate_partitions(T.n_vertices):
-            total += engine.trace_injective(graphs.quotient(T, pi), mats)
-        ref = engine.trace_test_graph(T, mats)
-        worst = max(worst, abs(total - ref) / max(1.0, abs(ref)))
-    check("mobius-inversion", worst < 1e-9, f"rel err {worst:.2e}")
-
-    # exact cut probabilities vs frozen closed forms
-    star = independence.witness_graphs()["two_pad_star"]
-    ok = all(
-        limits.cut_probability(star, {"x": c})
-        == limits.closed_form_reference("pT_star", c)
-        for c in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)
-    )
-    check("cut-integral-closed-form", ok)
-
-    # DSL round trips
-    ok = True
-    for T in small + [star]:
-        ok = ok and graphs.parse_dsl(graphs.serialize(T)) == T
-    check("dsl-round-trip", ok)
-
-    if failures:
-        sys.stderr.write(
-            json.dumps({"error": "selftest", "failed": failures}) + "\n"
-        )
-        return 2
-    return 0
-
-
 # ---------------------------------------------------------------------------
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -526,10 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order")
     p.add_argument("--beta", action="append", help="label=VALUE, as for independence")
     p.add_argument("--regime", action="append", help="label=REGIME[:PARAM]")
-
-    p = sp.add_parser("selftest", help="fast oracle-equivalence suites")
-    _add_common(p)
-    p.add_argument("--seed", help="seed of the random test matrices")
     return ap
 
 
@@ -539,7 +460,6 @@ _COMMANDS = {
     "concentration": _cmd_concentration,
     "independence": _cmd_independence,
     "moments": _cmd_moments,
-    "selftest": _cmd_selftest,
 }
 
 

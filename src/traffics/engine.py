@@ -25,8 +25,7 @@ Degree-1 results are keyed by a rooted-subtree code, so the Mobius terms of
 one injective trace, evaluated on the same draws, share their pendant sums.
 A plan with a general step whose ``batch x n^degree`` output would exceed
 ``DEFAULT_ENUM_LIMIT`` entries raises ``ValueError``; an estimate checks its
-plans before it draws anything.  Direct enumeration of the maps is kept only
-as a test oracle.
+plans before it draws anything.
 
 Traffic states: ``tau[T] = E (1/n) tr T(A)`` is estimated by Monte Carlo with
 one counter-based stream per sample index, so results are byte-identical for
@@ -46,7 +45,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -121,17 +119,6 @@ def _bound(g: TestGraph, matrices: Any) -> _Bound:
         if lab not in matrices.mats:
             raise ValueError(f"no matrix bound to label {lab!r}")
     return matrices
-
-
-def _edge_factor(e, mats) -> tuple[np.ndarray, tuple[int, ...]]:
-    m = mats[e.label]
-    if e.star:
-        arr, axes = m.conj(), (e.src, e.tar)
-    else:
-        arr, axes = m, (e.tar, e.src)
-    if e.src == e.tar:
-        return np.diagonal(arr, axis1=-2, axis2=-1), (e.src,)
-    return arr, axes
 
 
 _E = Ellipsis  # leading batch axes in einsum sublists
@@ -376,28 +363,6 @@ def _contract(g: TestGraph, ctx: _Bound, keep: tuple[int, ...]) -> np.ndarray:
     return out * scalar.reshape(batch + (1,) * len(keep))
 
 
-def _phi_values(
-    g: TestGraph, mats: dict[str, np.ndarray], phis: np.ndarray, batch: tuple
-) -> np.ndarray:
-    """Product over edges for each map in ``phis`` (rows = maps)."""
-    vals = np.ones(batch + (phis.shape[0],))
-    for e in g.edges:
-        arr, axes = _edge_factor(e, mats)
-        if len(axes) == 1:
-            vals = vals * arr[..., phis[:, axes[0]]]
-        else:
-            vals = vals * arr[..., phis[:, axes[0]], phis[:, axes[1]]]
-    return vals
-
-
-def _all_maps(n: int, k: int) -> np.ndarray:
-    limit = DEFAULT_ENUM_LIMIT
-    if n**k > limit:
-        raise ValueError(f"enumeration of {n}^{k} maps exceeds the limit {limit}")
-    grids = np.meshgrid(*[np.arange(n)] * k, indexing="ij")
-    return np.stack([a.ravel() for a in grids], axis=1)
-
-
 def eval_graph_matrix(t: GraphMonomial, matrices: Any) -> np.ndarray:
     """Evaluate a graph monomial on bound matrices; result (..., n, n)."""
     g = t.graph
@@ -435,29 +400,6 @@ def trace_injective(T: TestGraph, matrices: Any) -> Any:
         val = trace_test_graph(q, ctx)
         total = w * val if total is None else total + w * val
     return total
-
-
-def trace_injective_direct(T: TestGraph, matrices: Any) -> Any:
-    """Oracle: tr^0 by direct enumeration of injective maps."""
-    ctx = _bound(T, matrices)
-    n, batch = ctx.n, ctx.batch
-    k = T.n_vertices
-    count = math.perm(n, k)
-    if count > DEFAULT_ENUM_LIMIT:
-        raise ValueError(f"enumeration of {count} injective maps exceeds the limit")
-    if count == 0:
-        return np.zeros(batch) if batch else 0.0
-    phis = np.array(list(permutations(range(n), k)), dtype=np.intp)
-    out = _phi_values(T, ctx.mats, phis, batch).sum(axis=-1)
-    return out if batch else out[()]
-
-
-def trace_full_direct(T: TestGraph, matrices: Any) -> Any:
-    """Oracle: tr over all maps by direct enumeration."""
-    ctx = _bound(T, matrices)
-    phis = _all_maps(ctx.n, T.n_vertices)
-    out = _phi_values(T, ctx.mats, phis, ctx.batch).sum(axis=-1)
-    return out if ctx.batch else out[()]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional, Union
 
-from .ensembles import BandProfile, EntrySpec, MatrixModel, _double_factorial_odd
+from .ensembles import BandProfile, EntrySpec, MatrixModel
 from .graphs import Edge, TestGraph, _collapse, _UnionFind, edge_classes, quotient, shape_sum
 
 Number = Union[int, float, Fraction, complex]
@@ -490,12 +490,6 @@ def cut_probability(T: TestGraph, proportions: Any) -> Fraction:
     return cut_integral(T, proportions) / norm_factor(T, proportions)
 
 
-def _cut_probability(T: TestGraph, proportions: Any) -> Fraction:
-    """:func:`cut_probability` from one classification of T."""
-    cs = _pad_proportions(_double_tree_report(T, "cut integral"), proportions)
-    return _cut_integral(T.n_vertices, cs) / _norm_factor(cs)
-
-
 def rbm_ltd(T: TestGraph, regimes: RegimeAssignment, betas: Any = None) -> Number:
     """Limit of tau^0[T] for independent band families.
 
@@ -515,72 +509,14 @@ def rbm_ltd(T: TestGraph, regimes: RegimeAssignment, betas: Any = None) -> Numbe
     for comp in _forest(T, rep, regimes):
         if comp.n_edges == 0:
             continue
-        props = {
-            lab: regimes[lab].c for lab in comp.labels()
-        }
-        out = out * _cut_probability(comp, props)
+        props = {lab: regimes[lab].c for lab in comp.labels()}
+        volume = cut_integral(comp, props)
+        norm = Fraction(1)  # (2c - c^2) per pad, a pad being two edges of a label
+        for lab, k in Counter(e.label for e in comp.edges).items():
+            c = _as_fraction(props[lab])
+            norm *= (2 * c - c * c) ** (k // 2)
+        out = out * (volume / norm)
     return out
-
-
-# ---------------------------------------------------------------------------
-# closed forms
-
-def closed_form_reference(name: str, *params) -> Fraction:
-    """Frozen closed forms for regression tests and the CLI.
-
-    * ``pT_star(c)``: cut probability of the two-pad star, one label
-    * ``pS(ci, cj)``: cut probability of the two-pad star, two labels
-    * ``degree_moment(ell, c)``: limit 2*ell-th moment of the normalized
-      degree matrix of a proportional band (odd moments vanish)
-    """
-    if name == "pT_star":
-        (c,) = map(_as_fraction, params)
-        den = (2 * c - c * c) ** 2
-        if c <= Fraction(1, 2):
-            num = 8 * c * c * (Fraction(1, 2) - c) + Fraction(14, 3) * c**3
-        else:
-            num = 2 * c - 1 + Fraction(2, 3) * (1 - c**3)
-        return num / den
-    if name == "pS":
-        ci, cj = sorted(map(_as_fraction, params))
-        den = (2 * ci - ci * ci) * (2 * cj - cj * cj)
-        if ci + cj <= 1:
-            num = (
-                -Fraction(1, 3) * ci**3 - ci**2 * cj - 2 * ci * cj**2 + 4 * ci * cj
-            )
-        else:
-            num = (
-                Fraction(1, 3) * cj**3
-                - ci * cj**2
-                - ci**2
-                - cj**2
-                + 2 * ci * cj
-                + ci
-                + cj
-                - Fraction(1, 3)
-            )
-        return num / den
-    if name == "degree_moment":
-        ell, c = params
-        ell = int(ell)
-        c = _as_fraction(c)
-        if ell < 0:
-            raise ValueError("ell must be >= 0")
-        if ell == 0:
-            return Fraction(1)
-        t = min(2 * c, Fraction(1))
-        num = Fraction(2, ell + 1) * (t ** (ell + 1) - c ** (ell + 1)) + abs(
-            2 * c - 1
-        ) * t**ell
-        return _double_factorial_odd(2 * ell) * num / (2 * c - c * c) ** ell
-    raise ValueError(f"unknown closed form {name!r}")
-
-
-def degree_moment_order(m: int, c) -> Fraction:
-    """Moment of order m of the limiting degree law (odd orders vanish)."""
-    if m % 2:
-        return Fraction(0)
-    return closed_form_reference("degree_moment", m // 2, c)
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +622,8 @@ def fixed_band_ltd(
     for lab in g.labels():
         if lab not in bands:
             raise ValueError(f"no band width for label {lab!r}")
+        if lab not in entries:
+            raise ValueError(f"no entry law for label {lab!r}")
     s_factor = 1
     for cls in edge_classes(g):
         for lab, m in Counter(g.edges[i].label for i in cls.members).items():

@@ -137,17 +137,6 @@ def _canonical_terms(
         yield coeff, key, lambda g=g: g
 
 
-def polynomial_trace_ltd(
-    a: Any, ltd_fn: Callable[[TestGraph], Number]
-) -> Number:
-    """Limit of E (1/n) tr a(A): close each term and sum quotient limits."""
-    return _closed_sum(
-        _canonical_terms((coeff, trace_closure(mono)) for mono, coeff in _as_poly(a).terms),
-        ltd_fn,
-        1,
-    )
-
-
 def _necklaces(k: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """The rotation classes of the k^m words of length m over range(k), as
     (least rotation, period) in lexicographic order; a class holds as many

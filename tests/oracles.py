@@ -1,9 +1,10 @@
 """Independent reference implementations used by the test suite.
 
 Everything here is written the slow, obvious way on purpose: permutation
-scans, direct lattice sums, Monte Carlo volumes, and an exact Weingarten
-expectation from the pair-partition Gram matrix.  None of it shares code
-with the package internals it checks.
+scans, sums over every vertex map, direct lattice sums, Monte Carlo
+volumes, frozen closed forms, and an exact Weingarten expectation from the
+pair-partition Gram matrix.  None of it shares code with the package
+internals it checks.
 """
 
 import math
@@ -83,22 +84,48 @@ def ltd_trace_reference(T: TestGraph, ltd_fn) -> complex:
     return total
 
 
-def naive_graph_matrix(T: TestGraph, v_out: int, v_in: int, mats) -> np.ndarray:
-    """t(A)[..., i, j]: sum over every vertex map with v_out -> i, v_in -> j of
-    the edge-entry product, one map at a time."""
+def vertex_maps(n: int, k: int, injective: bool = False) -> np.ndarray:
+    """Every map from k vertices into range(n) as the rows of a (maps, k)
+    array, in lexicographic order; with ``injective`` only the one-to-one
+    maps."""
+    maps = np.indices((n,) * k).reshape(k, -1).T
+    if injective:
+        s = np.sort(maps, axis=1)
+        maps = maps[(s[:, 1:] != s[:, :-1]).all(axis=1)]
+    return maps
+
+
+def map_products(T: TestGraph, mats, maps: np.ndarray) -> np.ndarray:
+    """The product over the edges of T of A_e(phi(tar e), phi(src e)) for
+    each map phi in the rows of ``maps``, with the conjugate transpose bound
+    to starred edges: an array batch + (maps,)."""
     first = next(iter(mats.values()))
-    n, batch = first.shape[-1], first.shape[:-2]
-    out = np.zeros(batch + (n, n), dtype=complex)
-    for phi in product(range(n), repeat=T.n_vertices):
-        val = np.ones(batch, dtype=complex)
-        for e in T.edges:
-            a = mats[e.label]
-            if e.star:
-                val = val * np.conj(a[..., phi[e.src], phi[e.tar]])
-            else:
-                val = val * a[..., phi[e.tar], phi[e.src]]
-        out[..., phi[v_out], phi[v_in]] += val
-    return out
+    vals = np.ones(first.shape[:-2] + (len(maps),))
+    for e in T.edges:
+        a = mats[e.label]
+        if e.star:
+            vals = vals * np.conj(a[..., maps[:, e.src], maps[:, e.tar]])
+        else:
+            vals = vals * a[..., maps[:, e.tar], maps[:, e.src]]
+    return vals
+
+
+def naive_trace(T: TestGraph, mats, injective: bool = False):
+    """tr T(A), or tr^0 T(A) with ``injective``: the edge-entry product
+    summed over every vertex map (every injective one)."""
+    n = next(iter(mats.values())).shape[-1]
+    return map_products(T, mats, vertex_maps(n, T.n_vertices, injective)).sum(axis=-1)
+
+
+def naive_graph_matrix(T: TestGraph, v_out: int, v_in: int, mats) -> np.ndarray:
+    """t(A)[..., i, j]: the edge-entry product summed over every vertex map
+    with v_out -> i, v_in -> j."""
+    n = next(iter(mats.values())).shape[-1]
+    maps = vertex_maps(n, T.n_vertices)
+    vals = map_products(T, mats, maps)
+    out = np.zeros((n, n) + vals.shape[:-1], dtype=vals.dtype)
+    np.add.at(out, (maps[:, v_out], maps[:, v_in]), np.moveaxis(vals, -1, 0))
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def word_trace_terms(elements) -> tuple:
@@ -316,6 +343,48 @@ def cut_integral_reference(T: TestGraph, proportions) -> Fraction:
         f[w] = f[w] * f.pop(u).window(c)
     (root,) = adj
     return f[root].integral()
+
+
+def pT_star(c) -> Fraction:
+    """Frozen closed form of the cut probability of the two-pad star, one
+    label at proportion c."""
+    c = Fraction(c)
+    if c <= Fraction(1, 2):
+        num = 8 * c * c * (Fraction(1, 2) - c) + Fraction(14, 3) * c**3
+    else:
+        num = 2 * c - 1 + Fraction(2, 3) * (1 - c**3)
+    return num / (2 * c - c * c) ** 2
+
+
+def pS(ci, cj) -> Fraction:
+    """Frozen closed form of the cut probability of the two-pad star with
+    its pads at proportions ci and cj (two labels)."""
+    ci, cj = sorted((Fraction(ci), Fraction(cj)))
+    if ci + cj <= 1:
+        num = -Fraction(1, 3) * ci**3 - ci**2 * cj - 2 * ci * cj**2 + 4 * ci * cj
+    else:
+        num = (
+            Fraction(1, 3) * cj**3
+            - ci * cj**2
+            - ci**2
+            - cj**2
+            + 2 * ci * cj
+            + ci
+            + cj
+            - Fraction(1, 3)
+        )
+    return num / ((2 * ci - ci * ci) * (2 * cj - cj * cj))
+
+
+def degree_moment(m: int, c) -> Fraction:
+    """Limit of the m-th moment of the normalized degree matrix of a
+    proportional band at proportion c; odd moments vanish."""
+    if m % 2:
+        return Fraction(0)
+    ell, c = m // 2, Fraction(c)
+    t = min(2 * c, Fraction(1))
+    num = Fraction(2, ell + 1) * (t ** (ell + 1) - c ** (ell + 1)) + abs(2 * c - 1) * t**ell
+    return double_factorial_odd(ell) * num / (2 * c - c * c) ** ell
 
 
 def forest_components(n_vertices: int, undirected_edges) -> int:

@@ -17,16 +17,20 @@ import pytest
 
 from oracles import (
     catalan_by_recurrence,
+    degree_moment,
     haar_estimator_mean,
     haar_tau0_exact,
     mc_cut_volume,
+    naive_graph_matrix,
+    naive_trace,
+    pS,
+    pT_star,
 )
 from traffics.engine import (
     central_moment_estimate,
     estimate_traffic_state,
     eval_graph_matrix,
     trace_injective,
-    trace_injective_direct,
     trace_test_graph,
 )
 from traffics.ensembles import (
@@ -54,10 +58,8 @@ from traffics.independence import (
     witness_graphs,
 )
 from traffics.limits import (
-    closed_form_reference,
     cut_integral,
     cut_probability,
-    degree_moment_order,
     fixed_band_count,
     fixed_band_density,
     haar_ltd,
@@ -139,7 +141,7 @@ def test_trace_and_mobius_identities_on_all_small_graphs():
             total = part if total is None else total + part
         scale = np.maximum(np.abs(full), 1e-12)
         worst_mobius = max(worst_mobius, float(np.max(np.abs(full - total) / scale)))
-        direct = trace_injective_direct(g, mats)
+        direct = naive_trace(g, mats, injective=True)
         scale = np.maximum(np.abs(direct), 1e-12)
         gap = np.abs(trace_injective(g, mats) - direct)
         worst_injective = max(worst_injective, float(np.max(gap / scale)))
@@ -154,39 +156,17 @@ def test_trace_and_mobius_identities_on_all_small_graphs():
 def test_contraction_engine_matches_enumeration_oracles():
     """trace_test_graph and eval_graph_matrix agree with independent
     explicit-map enumeration on the full corpus at n = 12 (relative 1e-9)."""
-
-    def enum_trace(g, a):
-        n = a.shape[0]
-        phis = np.indices((n,) * g.n_vertices).reshape(g.n_vertices, -1)
-        vals = np.ones(phis.shape[1], dtype=a.dtype)
-        for e in g.edges:
-            term = a[phis[e.tar], phis[e.src]]
-            vals = vals * (np.conj(term) if e.star else term)
-        return vals.sum()
-
-    def enum_eval(mono, a):
-        n = a.shape[0]
-        g = mono.graph
-        phis = np.indices((n,) * g.n_vertices).reshape(g.n_vertices, -1)
-        vals = np.ones(phis.shape[1], dtype=a.dtype)
-        for e in g.edges:
-            term = a[phis[e.tar], phis[e.src]]
-            vals = vals * (np.conj(term) if e.star else term)
-        out = np.zeros((n, n), dtype=a.dtype)
-        np.add.at(out, (phis[mono.v_out], phis[mono.v_in]), vals)
-        return out
-
     rng = np.random.default_rng(7)
     n = 12
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    mats = {"x": rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))}
     worst_tr = worst_ev = 0.0
     for g in small_graph_corpus():
-        got = trace_test_graph(g, {"x": a})
-        want = enum_trace(g, a)
+        got = trace_test_graph(g, mats)
+        want = naive_trace(g, mats)
         worst_tr = max(worst_tr, abs(got - want) / max(abs(want), 1e-30))
         mono = GraphMonomial(g, 0, g.n_vertices - 1)
-        gotm = eval_graph_matrix(mono, {"x": a})
-        wantm = enum_eval(mono, a)
+        gotm = eval_graph_matrix(mono, mats)
+        wantm = naive_graph_matrix(g, mono.v_out, mono.v_in, mats)
         scale = max(float(np.max(np.abs(wantm))), 1e-30)
         worst_ev = max(worst_ev, float(np.max(np.abs(gotm - wantm))) / scale)
     assert worst_tr <= 1e-9
@@ -304,10 +284,10 @@ def test_proportional_cut_closed_forms_and_sampling():
     star, s_graph = w["two_pad_star"], w["s_graph"]
     grid = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
     for c in grid:
-        assert cut_probability(star, c) == closed_form_reference("pT_star", c)
+        assert cut_probability(star, c) == pT_star(c)
     for ci, cj in itertools.combinations_with_replacement(grid, 2):
         got = cut_probability(s_graph, {"x": ci, "y": cj})
-        assert got == closed_form_reference("pS", ci, cj)
+        assert got == pS(ci, cj)
     assert cut_probability(star, Fraction(1, 2)) == Fraction(28, 27)
     assert cut_probability(s_graph, {"x": Fraction(1, 4), "y": Fraction(1, 2)}) == Fraction(65, 63)
     assert cut_probability(star, 1) == 1
@@ -323,13 +303,13 @@ def test_proportional_cut_closed_forms_and_sampling():
     zs = []
     model = MatrixModel({"x": BandProfile("proportional", c=Fraction(1, 2))})
     est = estimate_traffic_state(star, model, 1000, 100, 33, injective=True)
-    zs.append(est.z(float(closed_form_reference("pT_star", Fraction(1, 2)))))
+    zs.append(est.z(float(pT_star(Fraction(1, 2)))))
     model = MatrixModel({
         "x": BandProfile("proportional", c=Fraction(1, 4)),
         "y": BandProfile("proportional", c=Fraction(1, 2)),
     })
     est = estimate_traffic_state(s_graph, model, 1000, 100, 33, injective=True)
-    zs.append(est.z(float(closed_form_reference("pS", Fraction(1, 4), Fraction(1, 2)))))
+    zs.append(est.z(float(pS(Fraction(1, 4), Fraction(1, 2)))))
     assert max(zs) < 3.0
     print(f"PASS proportional closed forms: exact branches, MC gaps "
           f"{gap_star:.1e}/{gap_s:.1e}, empirical z {zs[0]:.2f}/{zs[1]:.2f}")
@@ -379,10 +359,10 @@ def test_degree_moment_closed_forms_at_half_width():
     """Sampled moments of the normalized degree matrix at c = 1/2, n = 1000
     match the closed form within 3 SE for orders 1 to 4; odd orders vanish
     and the second moment is exactly 1 in the limit."""
-    assert degree_moment_order(1, Fraction(1, 2)) == 0
-    assert degree_moment_order(2, Fraction(1, 2)) == 1
-    assert degree_moment_order(3, Fraction(1, 2)) == 0
-    assert degree_moment_order(4, Fraction(1, 2)) == Fraction(28, 9)
+    assert degree_moment(1, Fraction(1, 2)) == 0
+    assert degree_moment(2, Fraction(1, 2)) == 1
+    assert degree_moment(3, Fraction(1, 2)) == 0
+    assert degree_moment(4, Fraction(1, 2)) == Fraction(28, 9)
     model = MatrixModel({"x": BandProfile("proportional", c=0.5)})
     rng = stream(21)
     draws = {m: [] for m in (1, 2, 3, 4)}
@@ -394,7 +374,7 @@ def test_degree_moment_closed_forms_at_half_width():
     for m in (1, 2, 3, 4):
         arr = np.array(draws[m])
         se = arr.std(ddof=1) / 10
-        z = abs(arr.mean() - float(degree_moment_order(m, Fraction(1, 2)))) / se
+        z = abs(arr.mean() - float(degree_moment(m, Fraction(1, 2)))) / se
         zs.append(z)
         assert z < 3.0, (m, arr.mean(), z)
     print("PASS degree moments: z " + " ".join(f"{z:.2f}" for z in zs))

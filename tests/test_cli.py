@@ -1,6 +1,7 @@
 """Experiment runner: flag plumbing, output formats, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -383,14 +384,6 @@ def test_moments_complex_beta(capsys):
     assert lines[2].endswith("i")
 
 
-def test_selftest_passes(capsys):
-    code, out, err = run(capsys, "selftest")
-    assert code == 0 and err == ""
-    lines = out.strip().splitlines()
-    assert len(lines) == 5
-    assert all(line.startswith("ok ") for line in lines)
-
-
 def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("samples = 7\nn = 20\nseed = 4  # inline comment\n")
@@ -517,6 +510,22 @@ def test_bad_numbers_are_user_errors(capsys, argv):
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("beta", ["inf", "-inf"])
+def test_infinite_beta_is_refused_as_non_finite(capsys, beta):
+    code, out, err = run(capsys, "moments", "--poly", "x", "--order", "2", "--beta", f"x={beta}")
+    assert code == 2 and out == ""
+    assert json.loads(err)["message"].startswith("beta must be finite")
+
+
+@pytest.mark.parametrize("text, want", [
+    ("0.6i", 0.6j), ("1+2i", 1 + 2j), ("-1i", -1j),
+    ("1/2", Fraction(1, 2)), ("-3/4", Fraction(-3, 4)),
+])
+def test_beta_parsing(text, want):
+    got = cli._parse_beta(text)
+    assert got == want and type(got) is type(want)
+
+
 @pytest.mark.parametrize("argv", [
     ("moments", "--poly", "x", "--order", "2", "--threads", "0"),
     ("moments", "--poly", "x", "--order", "2", "--seed", "1"),
@@ -524,7 +533,6 @@ def test_bad_numbers_are_user_errors(capsys, argv):
     ("ltd", "--graph", PAD, "--seed", "1"),
     ("independence", "--max-pads", "1", "--threads", "0"),
     ("independence", "--max-pads", "1", "--seed", "1"),
-    ("selftest", "--threads", "2"),
 ])
 def test_sampling_flags_only_where_something_is_drawn(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -537,7 +545,6 @@ def test_sampling_flags_only_where_something_is_drawn(capsys, argv):
     (("moments", "--poly", "x", "--order", "2"), "threads"),
     (("ltd", "--graph", PAD), "seed"),
     (("independence", "--max-pads", "1"), "threads"),
-    (("selftest",), "threads"),
 ])
 def test_sampling_config_keys_only_where_something_is_drawn(tmp_path, capsys, argv, key):
     cfg = tmp_path / "exp.cfg"

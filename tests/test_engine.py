@@ -15,9 +15,7 @@ from traffics.engine import (
     central_moment_estimate,
     estimate_traffic_state,
     eval_graph_matrix,
-    trace_full_direct,
     trace_injective,
-    trace_injective_direct,
     trace_test_graph,
 )
 from traffics.ensembles import BandProfile, EntrySpec, MatrixModel, stream
@@ -37,7 +35,7 @@ from traffics.graphs import (
 )
 from traffics.partitions import enumerate_partitions
 
-from oracles import naive_graph_matrix
+from oracles import naive_graph_matrix, naive_trace
 from test_graphs import connected_graphs
 
 
@@ -139,13 +137,25 @@ def test_adjoint_evaluates_to_conjugate_transpose(rng):
 # ---------------------------------------------------------------------------
 # oracle equivalence and the partition identity
 
+def test_enumeration_oracles_on_a_two_by_two_matrix():
+    a = np.array([[1, 2], [3, 4]])
+    mats = {"x": a}
+    two_cycle = TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "x")))
+    assert naive_trace(two_cycle, mats) == np.trace(a @ a) == 29
+    assert naive_trace(two_cycle, mats, injective=True) == 2 * a[0, 1] * a[1, 0] == 12
+    edge = TestGraph(2, (Edge(0, 1, "x"),))
+    starred = TestGraph(2, (Edge(0, 1, "x", True),))
+    assert np.array_equal(naive_graph_matrix(edge, 1, 0, mats), a)
+    assert np.array_equal(naive_graph_matrix(starred, 1, 0, mats), a.conj().T)
+
+
 @settings(max_examples=30)
 @given(connected_graphs(max_vertices=4, max_extra=2), st.integers(2, 6))
 def test_trace_matches_enumeration(g, n):
     rng = np.random.default_rng(n * 1000 + g.n_vertices)
     mats = random_matrices(sorted({e.label for e in g.edges}) or ["x"], n, rng, complex_=True)
     fast = trace_test_graph(g, mats)
-    slow = trace_full_direct(g, mats)
+    slow = naive_trace(g, mats)
     assert np.isclose(fast, slow, rtol=1e-9, atol=1e-12)
 
 
@@ -155,7 +165,7 @@ def test_injective_matches_enumeration(g, n):
     rng = np.random.default_rng(n * 999 + len(g.edges))
     mats = random_matrices(sorted({e.label for e in g.edges}) or ["x"], n, rng, complex_=True)
     fast = trace_injective(g, mats)
-    slow = trace_injective_direct(g, mats)
+    slow = naive_trace(g, mats, injective=True)
     assert np.isclose(fast, slow, rtol=1e-9, atol=1e-12)
 
 
@@ -182,7 +192,7 @@ def test_four_cycle_with_chord_trace_matches_enumeration(rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = trace_test_graph(g, mats)
-    assert np.allclose(got, trace_full_direct(g, mats))
+    assert np.allclose(got, naive_trace(g, mats))
 
 
 def test_four_cycle_with_chord_rooted_matches_enumeration(rng):
@@ -240,7 +250,7 @@ def test_batched_complex_trace_matches_enumeration(g, n):
     rng = np.random.default_rng(31 * n + len(g.edges))
     mats = random_matrices(_labels(g), n, rng, complex_=True, batch=(2, 3))
     fast = trace_test_graph(g, mats)
-    slow = trace_full_direct(g, mats)
+    slow = naive_trace(g, mats)
     assert fast.shape == (2, 3)
     assert np.allclose(fast, slow, rtol=1e-9, atol=1e-12)
 
@@ -251,7 +261,7 @@ def test_general_steps_match_enumeration(g, n):
     rng = np.random.default_rng(7 * n + len(g.edges))
     mats = random_matrices(_labels(g), n, rng, complex_=True, batch=(2,))
     fast = trace_test_graph(g, mats)
-    assert np.allclose(fast, trace_full_direct(g, mats), rtol=1e-9, atol=1e-12)
+    assert np.allclose(fast, naive_trace(g, mats), rtol=1e-9, atol=1e-12)
 
 
 @settings(max_examples=40)
@@ -303,7 +313,7 @@ def test_pendant_codes_keep_orientation_and_star(rng):
     g = TestGraph(5, (Edge(1, 0, "x"), Edge(0, 2, "x"), Edge(3, 0, "x", True),
                       Edge(4, 0, "x"), Edge(4, 4, "x")))
     mats = random_matrices("x", 4, rng, complex_=True, batch=(2,))
-    assert np.allclose(trace_test_graph(g, mats), trace_full_direct(g, mats))
+    assert np.allclose(trace_test_graph(g, mats), naive_trace(g, mats))
 
 
 def _complete(k):
@@ -323,7 +333,7 @@ def test_size_check_counts_batch_and_degree(rng, monkeypatch):
     # K5 at n=3 over a batch of 2: its largest step is 2 * 3^4 = 162 entries
     g = _complete(5)
     mats = random_matrices("x", 3, rng, batch=(2,))
-    want = trace_full_direct(g, mats)
+    want = naive_trace(g, mats)
     monkeypatch.setattr(engine, "DEFAULT_ENUM_LIMIT", 162)
     assert np.allclose(trace_test_graph(g, mats), want)
     monkeypatch.setattr(engine, "DEFAULT_ENUM_LIMIT", 161)

@@ -27,9 +27,9 @@ from traffics.independence import (
     verify_traffic_independence,
     witness_graphs,
 )
-from traffics.limits import closed_form_reference, rbm_ltd, wigner_ltd
+from traffics.limits import rbm_ltd, wigner_ltd
 
-from oracles import catalan_by_recurrence
+from oracles import catalan_by_recurrence, pT_star
 
 CATALAN = catalan_by_recurrence(12)
 SEMICIRCLE = [0, 1, 0, 2, 0, 5, 0, 14]
@@ -123,7 +123,7 @@ def test_proportional_bands_violate_independence():
     rec = report.violations[0]
     assert rec["chi_tree"]
     assert rec["expected"] == "1"
-    assert Fraction(rec["actual"]) == closed_form_reference("pT_star", Fraction(1, 2))
+    assert Fraction(rec["actual"]) == pT_star(Fraction(1, 2))
 
 
 def test_two_proportional_families_violate_independence():

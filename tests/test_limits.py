@@ -21,10 +21,8 @@ from traffics.limits import (
     catalan,
     classify_double_tree,
     classify_orthogonal_cactus,
-    closed_form_reference,
     cut_integral,
     cut_probability,
-    degree_moment_order,
     double_tree_code,
     double_tree_quotients,
     fixed_band_count,
@@ -44,12 +42,15 @@ from traffics.partitions import enumerate_partitions
 from oracles import (
     PiecewisePoly,
     cut_integral_reference,
+    degree_moment,
     double_factorial_odd,
     haar_estimator_mean,
     haar_tau0_exact,
     ltd_trace_reference,
     mc_cut_volume,
     naive_trace_sum,
+    pS,
+    pT_star,
 )
 
 
@@ -325,7 +326,7 @@ def test_single_pad_volume():
 @given(st.fractions(min_value=Fraction(1, 20), max_value=1))
 def test_star_cut_matches_closed_form(c):
     star = double_star(("x", "x"))
-    assert cut_probability(star, c) == closed_form_reference("pT_star", c)
+    assert cut_probability(star, c) == pT_star(c)
 
 
 @given(
@@ -335,28 +336,28 @@ def test_star_cut_matches_closed_form(c):
 def test_two_label_star_matches_closed_form(ci, cj):
     star = double_star(("x", "y"))
     got = cut_probability(star, {"x": ci, "y": cj})
-    assert got == closed_form_reference("pS", ci, cj)
+    assert got == pS(ci, cj)
 
 
 def test_frozen_cut_values():
-    assert closed_form_reference("pT_star", Fraction(1, 2)) == Fraction(28, 27)
-    assert closed_form_reference("pS", Fraction(1, 4), Fraction(1, 2)) == Fraction(65, 63)
-    assert closed_form_reference("pS", Fraction(1, 2), Fraction(1, 4)) == Fraction(65, 63)
+    assert pT_star(Fraction(1, 2)) == Fraction(28, 27)
+    assert pS(Fraction(1, 4), Fraction(1, 2)) == Fraction(65, 63)
+    assert pS(Fraction(1, 2), Fraction(1, 4)) == Fraction(65, 63)
 
 
 def test_closed_form_branch_continuity():
     eps = Fraction(1, 10**9)
-    a = closed_form_reference("pT_star", Fraction(1, 2) - eps)
-    b = closed_form_reference("pT_star", Fraction(1, 2) + eps)
+    a = pT_star(Fraction(1, 2) - eps)
+    b = pT_star(Fraction(1, 2) + eps)
     assert abs(a - b) < Fraction(1, 10**7)
-    a = closed_form_reference("pS", Fraction(1, 2) - eps, Fraction(1, 2))
-    b = closed_form_reference("pS", Fraction(1, 2) + eps, Fraction(1, 2))
+    a = pS(Fraction(1, 2) - eps, Fraction(1, 2))
+    b = pS(Fraction(1, 2) + eps, Fraction(1, 2))
     assert abs(a - b) < Fraction(1, 10**7)
 
 
 @given(st.fractions(min_value=Fraction(1, 20), max_value=1))
 def test_same_label_star_is_the_diagonal_of_the_two_label_form(c):
-    assert closed_form_reference("pT_star", c) == closed_form_reference("pS", c, c)
+    assert pT_star(c) == pS(c, c)
 
 
 def test_cut_integral_against_monte_carlo():
@@ -391,17 +392,17 @@ def test_cut_argument_validation():
 # degree moments
 
 def test_degree_moment_values():
-    assert degree_moment_order(0, Fraction(1, 2)) == 1
-    assert degree_moment_order(1, Fraction(1, 2)) == 0
-    assert degree_moment_order(2, Fraction(1, 2)) == 1
-    assert degree_moment_order(3, Fraction(1, 2)) == 0
-    assert degree_moment_order(4, Fraction(1, 2)) == Fraction(28, 9)
-    assert degree_moment_order(4, 1) == 3
+    assert degree_moment(0, Fraction(1, 2)) == 1
+    assert degree_moment(1, Fraction(1, 2)) == 0
+    assert degree_moment(2, Fraction(1, 2)) == 1
+    assert degree_moment(3, Fraction(1, 2)) == 0
+    assert degree_moment(4, Fraction(1, 2)) == Fraction(28, 9)
+    assert degree_moment(4, 1) == 3
 
 
 def test_degree_moment_gaussian_at_full_width():
     for ell in range(1, 5):
-        assert degree_moment_order(2 * ell, 1) == double_factorial_odd(ell)
+        assert degree_moment(2 * ell, 1) == double_factorial_odd(ell)
 
 
 @given(
@@ -415,14 +416,7 @@ def test_degree_moment_matches_window_integral(ell, c):
     w = np.minimum(us + float(c), 1.0) - np.maximum(us - float(c), 0.0)
     integral = float(np.trapezoid(w**ell, us))
     want = double_factorial_odd(ell) * integral / float(2 * c - c * c) ** ell
-    assert float(degree_moment_order(2 * ell, c)) == pytest.approx(want, rel=1e-6)
-
-
-def test_degree_moment_rejects_negative_order():
-    with pytest.raises(ValueError):
-        closed_form_reference("degree_moment", -1, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        closed_form_reference("no_such_form")
+    assert float(degree_moment(2 * ell, c)) == pytest.approx(want, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +638,12 @@ def test_fixed_band_missing_width_is_a_value_error(g):
         fixed_band_density(g, {})
     with pytest.raises(ValueError, match="no band width for label 'x'"):
         fixed_band_ltd(g, {}, GAUSS)
+
+
+def test_fixed_band_ltd_missing_entry_law_is_a_value_error():
+    s_graph = witness_graphs()["s_graph"]
+    with pytest.raises(ValueError, match="no entry law for label 'y'"):
+        fixed_band_ltd(s_graph, {"x": 1, "y": 1}, {"x": EntrySpec.rademacher()})
 
 
 def test_fixed_band_ltd_vanishes_on_odd_classes():
