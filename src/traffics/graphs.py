@@ -272,7 +272,7 @@ def hadamard(t1: GraphMonomial, t2: GraphMonomial) -> GraphMonomial:
         (t1.graph, t2.graph),
         [(t1.v_in, t2.v_in + off1), (t1.v_out, t2.v_out + off1)],
     )
-    return GraphMonomial(g, vmap[t1.v_in], vmap[t1.v_out + off1])
+    return GraphMonomial(g, vmap[t1.v_in], vmap[t1.v_out])
 
 
 def delta(t: GraphMonomial) -> TestGraph:

@@ -437,12 +437,8 @@ def cut_integral(T: TestGraph, proportions: Any) -> Fraction:
     one ``Fraction`` built at the end, divided by D^|V|.
     """
     rep = _double_tree_report(T, "cut integral")
-    return _cut_integral(T.n_vertices, _pad_proportions(rep, proportions))
-
-
-def _cut_integral(n: int, cs: Mapping[tuple[int, int], Fraction]) -> Fraction:
-    """:func:`cut_integral` of the double tree on n vertices whose pads
-    {u, v} have the proportions ``cs[(u, v)]``."""
+    cs = _pad_proportions(rep, proportions)
+    n = T.n_vertices
     D = math.lcm(*(c.denominator for c in cs.values()))
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
     for (u, v), c in cs.items():
@@ -475,12 +471,8 @@ def _cut_integral(n: int, cs: Mapping[tuple[int, int], Fraction]) -> Fraction:
 def norm_factor(T: TestGraph, proportions: Any) -> Fraction:
     """Product over pads of (2c - c^2), the single-pad cut volume."""
     rep = _double_tree_report(T, "norm factor")
-    return _norm_factor(_pad_proportions(rep, proportions))
-
-
-def _norm_factor(cs: Mapping[tuple[int, int], Fraction]) -> Fraction:
     out = Fraction(1)
-    for c in cs.values():
+    for c in _pad_proportions(rep, proportions).values():
         out *= 2 * c - c * c
     return out
 
@@ -785,14 +777,13 @@ def double_tree_quotients(
     double-tree conditions (a loop, a class of three edges, mixed labels in
     a class, or a cycle among completed classes), so it touches far fewer
     states than the full partition lattice while yielding exactly the same
-    quotients.
+    quotients.  Stars are ignored: quotient edges carry none.
     """
     if not can_pair(T):
         return
-    g = _strip_stars(T)
-    n = g.n_vertices
+    n = T.n_vertices
     later: list[list[tuple[int, str]]] = [[] for _ in range(n)]
-    for e in g.edges:
+    for e in T.edges:
         a, b = (e.src, e.tar) if e.src < e.tar else (e.tar, e.src)
         later[b].append((a, e.label))
     remaining = [0] * (n + 1)
@@ -871,7 +862,7 @@ def double_tree_quotients(
                 q = TestGraph(
                     len(blocks),
                     tuple(
-                        Edge(block_of[e.src], block_of[e.tar], e.label) for e in g.edges
+                        Edge(block_of[e.src], block_of[e.tar], e.label) for e in T.edges
                     ),
                 )
                 yield bl, q
@@ -939,6 +930,12 @@ def ltd_trace(
 # ---------------------------------------------------------------------------
 # matrix models
 
+def _regimes(model: MatrixModel) -> dict[str, str]:
+    """label -> band regime of the model, or "haar" for a Haar label."""
+    profiles = model.profiles()
+    return {lab: profiles[lab].regime if lab in profiles else "haar" for lab in model.labels}
+
+
 def model_ltd(model: MatrixModel) -> Callable[[TestGraph], Number]:
     """The injective-limit evaluator of a matrix model.
 
@@ -947,20 +944,22 @@ def model_ltd(model: MatrixModel) -> Callable[[TestGraph], Number]:
     an all-Wigner model gives :func:`wigner_ltd`, which takes non-real
     pseudo-variances too; any other model gives :func:`rbm_ltd`.  Both take
     the pseudo-variances of the model's entry laws.  A model that mixes fixed
-    bands with another regime is refused: no exact limit covers it.
+    bands, or Haar labels, with another regime is refused: no exact limit
+    covers it.
     """
-    profiles, entries = model.profiles(), model.entries()
-    regime = {lab: profiles[lab].regime if lab in profiles else "haar" for lab in model.labels}
+    regime = _regimes(model)
     kinds = set(regime.values())
-    if "fixed" in kinds and kinds != {"fixed"}:
-        fixed = ", ".join(lab for lab in sorted(regime) if regime[lab] == "fixed")
-        other = ", ".join(lab for lab in sorted(regime) if regime[lab] != "fixed")
-        raise ValueError(
-            f"fixed bands on {fixed} mixed with other regimes on {other}: "
-            "no exact limit covers the mix"
-        )
+    for kind, what in (("fixed", "fixed bands"), ("haar", "haar")):
+        if kind in kinds and kinds != {kind}:
+            mine = ", ".join(lab for lab in sorted(regime) if regime[lab] == kind)
+            other = ", ".join(lab for lab in sorted(regime) if regime[lab] != kind)
+            raise ValueError(
+                f"{what} on {mine} mixed with other regimes on {other}: "
+                "no exact limit covers the mix"
+            )
     if kinds == {"haar"}:
         return haar_ltd
+    profiles, entries = model.profiles(), model.entries()
     if kinds == {"fixed"}:
         bands = {lab: p.b for lab, p in profiles.items()}
         return lambda T: fixed_band_ltd(T, bands, entries)
@@ -978,7 +977,6 @@ def model_support(model: MatrixModel) -> str:
     live on cacti and fixed-band limits on every quotient, so any label
     without such a regime needs the full partition lattice.
     """
-    profiles = model.profiles()
-    if all(lab in profiles and profiles[lab].regime != "fixed" for lab in model.labels):
+    if {"fixed", "haar"}.isdisjoint(_regimes(model).values()):
         return "double_tree"
     return "all"

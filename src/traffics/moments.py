@@ -18,13 +18,17 @@ A double-tree quotient has no loop and pairs each edge with another of its
 label, so a closed graph with a loop or an odd edge count of some label adds
 exactly zero.  A word class whose terms leave a label odd is dropped before
 it is keyed or substituted, and a closed graph with a loop before it is
-scanned.  Closed graphs that survive must have at most 16 vertices; a moment
-sum that meets a larger one raises ``ValueError`` naming the order.
+scanned.  Closed graphs that survive must have at most 16 vertices, which
+bounds the cost of their quotient scans; a moment sum that meets a larger one
+raises ``ValueError`` naming the order.
 
 The Markov element p*x + (q/2) row(x) + (q/2) col(x) is the workhorse: its
 moments are those of the free convolution of a semicircle of variance p^2
 with a Gaussian of variance q^2, and its variance split over the opposing
-double edge and the double loop realizes the traffic CLT interpolation.
+double edge and the double loop realizes the traffic CLT interpolation.  The
+split is two second moments on the same word path: the double loop is
+tau[d d], d = hadamard(a, unit) being the diagonal part of a, and the other
+part is tau[a a] minus it.
 """
 
 from __future__ import annotations
@@ -44,10 +48,11 @@ from .graphs import (
     GraphMonomial,
     TestGraph,
     TrafficPolynomial,
-    canonical_key,
+    canonical_key,  # stays importable here for perfbench/tracing.py
     col_op,
     delta,
     edge_monomial,
+    hadamard,
     row_op,
     substitute_graph,
     unit_monomial,
@@ -118,23 +123,6 @@ def _closed_sum(
             memo[key] = value
         total = total + coeff * value
     return total
-
-
-def _canonical_terms(
-    pairs: Iterable[tuple[Any, TestGraph]]
-) -> Iterator[tuple[Any, Any, Callable[[], TestGraph]]]:
-    """:func:`_closed_sum` terms of closed graphs in hand, keyed by
-    ``canonical_key``.  A graph that cannot pair is keyed None; one past the
-    vertex cap of the canonical form is keyed by itself, so that
-    :func:`_closed_sum` refuses it by the order of the moment."""
-    for coeff, g in pairs:
-        if not can_pair(g):
-            key = None
-        elif g.n_vertices > _CANON_CAP:
-            key = g
-        else:
-            key = canonical_key(g)
-        yield coeff, key, lambda g=g: g
 
 
 def _necklaces(k: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -314,17 +302,21 @@ def clt_alpha_split(
 ) -> tuple[Number, Number]:
     """Variance split (tau0 of the opposing double edge, tau0 of the double
     loop) for a self-adjoint centered element; the pair (alpha, 1 - alpha)
-    of the traffic central limit."""
+    of the traffic central limit.
+
+    The opposing double edge is the 2-cycle of tr(a a).  Substituting a term
+    t into a loop glues both its roots, which leaves its diagonal part
+    hadamard(t, unit), so the double loop is the 2-cycle of tr(d d), d the
+    diagonal parts of a's terms with a's coefficients.  The split is
+    (tau[a a] - tau[d d], tau[d d]), two second moments on the word path.
+    """
     ltd = ltd_fn or wigner_ltd
     poly = _as_poly(a)
-    double_edge = TestGraph(2, (Edge(0, 1, "slot0"), Edge(1, 0, "slot0")))
-    double_loop = TestGraph(1, (Edge(0, 0, "slot0"), Edge(0, 0, "slot0")))
-
-    def split(g: TestGraph) -> Number:
-        return _closed_sum(_canonical_terms(substitute_graph(g, {"slot0": poly})), ltd, 2)
-
-    loops = split(double_loop)
-    return split(double_edge) - loops, loops
+    diagonal = TrafficPolynomial.from_terms(
+        (hadamard(t, unit_monomial()), c) for t, c in poly.terms
+    )
+    loops = traffic_moment(diagonal, 2, ltd)
+    return traffic_moment(poly, 2, ltd) - loops, loops
 
 
 def semicircle_moment(m: int) -> int:

@@ -1,9 +1,11 @@
 """Structure tests: graphs, monomials, products, quotients, canonical forms,
 and the text format."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from traffics.engine import eval_graph_matrix
 from traffics.graphs import (
     DSLError,
     Edge,
@@ -136,6 +138,23 @@ def test_hadamard_doubles_edges():
     assert h.graph.n_vertices == 2
     assert len(h.graph.edges) == 2
     assert h.v_in != h.v_out
+
+
+def test_hadamard_with_the_unit_is_the_diagonal():
+    a = np.arange(9.0).reshape(3, 3) + 1
+    h = hadamard(edge_monomial("x"), unit_monomial())
+    assert (h.graph.n_vertices, h.v_in, h.v_out) == (1, 0, 0)
+    np.testing.assert_array_equal(eval_graph_matrix(h, {"x": a}), np.diag(np.diag(a)))
+
+
+def test_hadamard_roots_come_from_the_first_factor():
+    # t2 numbers its roots the other way round from t1
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((2, 4, 4))
+    t2 = GraphMonomial(TestGraph(2, (Edge(1, 0, "y"),)), 1, 0)
+    h = hadamard(edge_monomial("x"), t2)
+    assert h.v_in != h.v_out
+    np.testing.assert_allclose(eval_graph_matrix(h, {"x": a, "y": b}), a * b)
 
 
 def test_delta_closes_the_roots():

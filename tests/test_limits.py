@@ -32,6 +32,7 @@ from traffics.limits import (
     haar_ltd,
     ltd_trace,
     model_ltd,
+    model_support,
     norm_factor,
     rbm_ltd,
     regime_role,
@@ -783,6 +784,14 @@ def test_directed_cycle_traces_are_catalan():
         assert ltd_trace(directed_cycle(m), wigner_ltd) == 0
 
 
+def test_quotient_scan_ignores_stars():
+    plain = TestGraph(4, (Edge(0, 1, "x"), Edge(2, 1, "x"), Edge(2, 3, "y"), Edge(3, 0, "y")))
+    starred = TestGraph(4, tuple(e._replace(star=k % 2 == 0) for k, e in enumerate(plain.edges)))
+    want = list(double_tree_quotients(plain))
+    assert want
+    assert list(double_tree_quotients(starred)) == want
+
+
 def test_c4_has_two_double_tree_quotients():
     quotients = list(double_tree_quotients(directed_cycle(4)))
     assert len(quotients) == 2
@@ -867,6 +876,22 @@ def test_model_ltd_resolves_each_kind():
     with pytest.raises(ValueError, match="fixed bands on x mixed with other regimes on y"):
         model_ltd(mixed)
     assert model_ltd(MatrixModel({}))(TestGraph(1)) == 1
+
+
+def test_model_ltd_refuses_haar_beside_another_regime():
+    # rbm_ltd would score the Haar label as a band: 0 on the anti-directed
+    # 4-cycle, whose Haar limit is -1
+    mixed = MatrixModel({"x": "haar", "y": BandProfile.parse("wigner")})
+    with pytest.raises(ValueError) as err:
+        model_ltd(mixed)
+    assert str(err.value) == (
+        "haar on x mixed with other regimes on y: no exact limit covers the mix"
+    )
+    assert model_support(mixed) == "all"
+    # a fixed band beside a Haar label keeps the fixed-band message
+    fixed = MatrixModel({"x": "haar", "y": BandProfile.parse("fixed:1")})
+    with pytest.raises(ValueError, match="^fixed bands on y mixed with other regimes on x: "):
+        model_ltd(fixed)
 
 
 # ---------------------------------------------------------------------------

@@ -357,6 +357,16 @@ def test_pruned_clt_split_and_traces_match_the_unpruned_sums(name):
         _same(got[1], loops)
 
 
+def test_clt_split_runs_no_canonical_search(monkeypatch):
+    calls = []
+    key = moments.canonical_key
+    monkeypatch.setattr(moments, "canonical_key", lambda g: calls.append(g) or key(g))
+    a = markov_element(Fraction(1, 2), Fraction(3, 2))
+    for ltd in PRUNING_EVALUATORS.values():
+        clt_alpha_split(a, ltd)
+    assert calls == []
+
+
 def test_odd_markov_orders_build_no_graph(monkeypatch):
     calls = Counter()
 
