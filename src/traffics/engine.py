@@ -33,8 +33,11 @@ a given (seed, n, samples) regardless of batching or thread count.  The
 samples are split into tasks, one per large sample or one per chunk of small
 ones, and a task draws its samples straight into its thread's stacked arrays
 and contracts them on the same thread.  By default the estimate runs its
-tasks on every core the process may run on; ``ensembles.BLAS_LOCK`` keeps
-the threads from running multithreaded BLAS calls at once.
+tasks on every core the process may run on.  Where numpy's OpenBLAS is
+found, a pooled estimate pins it to one thread and cuts its samples into at
+least two tasks per thread, so the pool threads, not BLAS, take the cores;
+elsewhere ``ensembles.BLAS_LOCK`` keeps the threads from running
+multithreaded BLAS calls at once.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
@@ -424,8 +428,8 @@ class Estimate:
 
 
 def _chunk_size(n: int) -> int:
-    # keep stacked batches near 100 MB; depends only on n, so results do not
-    # change with threading or memory pressure
+    # keep stacked batches near 100 MB; depends only on n, so memory pressure
+    # changes no result (a pinned pool cuts smaller tasks; see _sample_values)
     return max(1, min(64, int(1.2e8 / (16 * max(n * n, 1)))))
 
 
@@ -465,39 +469,55 @@ def _sample_values(
     thread it runs on and map them through ``values`` on that thread.
 
     A task holds ``_task_size(n, model)`` samples: one sample of at least
-    ``SAMPLE_TASK_ENTRIES`` matrix entries, or a chunk of smaller ones.  The
-    split depends on n and the model alone, and results are concatenated in
-    task order, so the thread count changes no bit.  With one task or one
-    thread the tasks run on the calling thread; otherwise a pool of at most
-    ``threads`` runs them.  Each thread allocates its slots once, sized to
-    the first task, and reuses them for its later tasks, so ``values`` must
-    return an array that does not share their memory.  Bad sizes fail before
-    any draw.
+    ``SAMPLE_TASK_ENTRIES`` matrix entries, or a chunk of smaller ones.
+    With two threads or more and two samples or more, the loop first pins
+    OpenBLAS to one thread (``BLAS_LOCK.one_thread``), lets its pool
+    threads pass ``BLAS_LOCK`` without holding it, and cuts tasks of at
+    most ``ceil(samples / (2 * threads))`` samples: each thread gets two
+    tasks or more, so one that lags leaves work to the others, and each
+    task's stacked temporaries are smaller.  The pin is process-wide: until
+    the loop ends, BLAS calls on any thread run on one thread.  Where no
+    OpenBLAS is found, the split is the one above and the lock is held.
+    With one task or one thread the tasks run on the calling thread;
+    otherwise a pool of at most ``threads`` runs them.  A sample's value
+    does not depend on the samples stacked with it, and results are
+    concatenated in task order, so neither the split nor the thread count
+    changes a bit.  Each thread allocates its slots once, sized to the
+    first task, and reuses them for its later tasks, so ``values`` must
+    return an array that does not share their memory.  Bad sizes fail
+    before any draw.
     """
     _check_sizes(n, samples)
     dtypes = model.dtypes()
-    size = _task_size(n, model)
-    tasks = [(s, min(s + size, samples)) for s in range(0, samples, size)]
-    local = threading.local()  # dropped with the call, so no slot outlives it
+    workers = _thread_count(threads)
+    pin = BLAS_LOCK.one_thread() if workers > 1 and samples > 1 else nullcontext(False)
+    with pin as pinned:
+        size = _task_size(n, model)
+        if pinned:
+            size = min(size, math.ceil(samples / (2 * workers)))
+        tasks = [(s, min(s + size, samples)) for s in range(0, samples, size)]
+        local = threading.local()  # dropped with the call, so no slot outlives it
 
-    def task(span: tuple[int, int]) -> np.ndarray:
-        start, stop = span
-        if not hasattr(local, "slots"):
-            shape = (min(size, samples), n, n)
-            local.slots = {lab: np.empty(shape, dtypes[lab]) for lab in labels}
-        stacked = {lab: a[: stop - start] for lab, a in local.slots.items()}
-        for i in range(start, stop):
-            model.sample(n, stream(seed, i), out={lab: a[i - start] for lab, a in stacked.items()})
-        return values(stacked)
+        def task(span: tuple[int, int]) -> np.ndarray:
+            start, stop = span
+            if not hasattr(local, "slots"):
+                shape = (min(size, samples), n, n)
+                local.slots = {lab: np.empty(shape, dtypes[lab]) for lab in labels}
+            stacked = {lab: a[: stop - start] for lab, a in local.slots.items()}
+            for i in range(start, stop):
+                model.sample(n, stream(seed, i),
+                             out={lab: a[i - start] for lab, a in stacked.items()})
+            return values(stacked)
 
-    workers = min(_thread_count(threads), len(tasks))
-    if workers == 1:
-        return np.concatenate([task(t) for t in tasks])
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        return np.concatenate(list(pool.map(task, tasks)))
-    finally:
-        pool.shutdown(cancel_futures=True)
+        workers = min(workers, len(tasks))
+        if workers == 1:
+            return np.concatenate([task(t) for t in tasks])
+        pool = ThreadPoolExecutor(max_workers=workers,
+                                  initializer=BLAS_LOCK.pass_this_thread if pinned else None)
+        try:
+            return np.concatenate(list(pool.map(task, tasks)))
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def _trace_values(
@@ -558,7 +578,9 @@ def estimate_traffic_state(
 
     ``model`` is a :class:`~traffics.ensembles.MatrixModel`; each sample
     index draws from its own stream of ``seed``.  ``threads`` None uses
-    every core the process may run on (see ``_sample_values``).  Injective
+    every core the process may run on; with two or more, the estimate pins
+    OpenBLAS's process-wide thread count to one while it runs (see
+    ``_sample_values``).  Injective
     estimates carry the n^|V| / (n)_|V| count correction (see
     ``_trace_values``).
     """

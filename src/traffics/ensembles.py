@@ -18,19 +18,120 @@ batching or thread count.
 from __future__ import annotations
 
 import math
+import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
 Number = Union[int, float, Fraction]
 
 
-# held around every multithreaded BLAS or LAPACK call a sampling thread makes:
-# OpenBLAS already runs on every core, and two such calls at once oversubscribe them
-BLAS_LOCK = threading.Lock()
+# (path, get, set) for the thread count of each OpenBLAS mapped into the
+# process: None until the first pooled estimate looks for them, () where there
+# is none (MKL, Accelerate)
+_openblas: Optional[tuple] = None
+
+
+def _find_openblas() -> tuple:
+    """(path, get, set) for the thread count of every OpenBLAS already mapped
+    into this process, numpy's among them; () if none is found."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({f[5].strip() for f in (line.split(None, 5) for line in maps)
+                            if len(f) == 6 and "openblas" in os.path.basename(f[5])})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                found.append((path, get, put))
+                break
+    return tuple(found)
+
+
+class _BlasLock:
+    """Held around every multithreaded BLAS or LAPACK call a sampling thread
+    makes: OpenBLAS already runs on every core, and two such calls at once
+    oversubscribe them.  While :meth:`one_thread` pins OpenBLAS to one
+    thread, the pool threads of the pinned estimate (marked by
+    :meth:`pass_this_thread`) pass the lock without holding it, so they,
+    not BLAS, take the cores."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._passing = threading.local()  # marks the pool threads of a pinned estimate
+        self._pin_lock = threading.Lock()  # guards the two below
+        self._pins = 0
+        self._saved: list[int] = []  # each library's thread count before the first pin
+
+    def __enter__(self) -> None:
+        if not getattr(self._passing, "on", False):
+            self._lock.acquire()
+
+    def __exit__(self, *exc) -> None:
+        if not getattr(self._passing, "on", False):
+            self._lock.release()
+
+    def pass_this_thread(self) -> None:
+        """Let the calling thread pass the lock from now on: for the pool
+        threads of a pinned estimate, which end before its pin does."""
+        self._passing.on = True
+
+    @contextmanager
+    def one_thread(self) -> Iterator[bool]:
+        """Pin every OpenBLAS in the process to one thread for the block,
+        and yield True; yield False and pin nothing where no OpenBLAS is
+        found.  The count is process-wide, so it holds for every thread
+        while the block runs.  Pins overlap across threads: the counts
+        OpenBLAS had before the first come back when the last exits, by
+        return or by exception, undoing any change made in between.
+
+        The counts change only while this lock is held, so never during a
+        locked call.  A call that passes the lock runs on a pool thread of
+        a pinned estimate, while a pin holds and the count stays 1."""
+        global _openblas
+        with self._pin_lock:
+            if _openblas is None:
+                _openblas = _find_openblas()
+            libs = _openblas
+            if libs:
+                if not self._pins:
+                    with self._lock:
+                        self._saved = [get() for _, get, _ in libs]
+                        for _, _, put in libs:
+                            put(1)
+                self._pins += 1
+        if not libs:
+            yield False
+            return
+        try:
+            yield True
+        finally:
+            with self._pin_lock:
+                self._pins -= 1
+                if not self._pins:
+                    with self._lock:
+                        for (_, _, put), count in zip(libs, self._saved):
+                            put(count)
+
+
+BLAS_LOCK = _BlasLock()
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:

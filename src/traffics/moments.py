@@ -220,13 +220,28 @@ def _cyclic_word_ltd(
             runs[0] = (tuple(sorted(decorations + list(runs[0][0]))), runs[0][1])
         return tuple(min(runs[i:] + runs[:i] for i in range(len(runs))))
 
+    def weight(word: tuple[int, ...], count: int) -> tuple[Any, int]:
+        """count times the product of the word's coefficients, in word order,
+        and the xor of its terms' odd-label masks."""
+        coeff: Any = count
+        mask = 0
+        for i in word:
+            coeff = coeff * terms[i][1]
+            mask ^= odd[i]
+        return coeff, mask
+
+    # exact products commute, so classes of one size and one multiset of terms
+    # share theirs; a float or complex product keeps its word's order, and so
+    # the bits that multiplying in that order gives
+    exact = all(type(c) in (int, Fraction) for _, c in terms)
+    weights: dict[tuple[tuple[int, ...], int], tuple[Any, int]] = {}
+
     def closed() -> Iterator[tuple[Any, Any, Optional[Callable[[], TestGraph]]]]:
         for word, count in classes:
-            coeff: Any = count
-            mask = 0
-            for i in word:
-                coeff = coeff * terms[i][1]
-                mask ^= odd[i]
+            group = (tuple(sorted(word)) if exact else word, count)
+            if group not in weights:
+                weights[group] = weight(*group)
+            coeff, mask = weights[group]
             if mask:
                 yield coeff, None, None
                 continue

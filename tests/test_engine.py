@@ -1,6 +1,9 @@
 """Exact evaluation engine: graph evaluation, traces, injective traces,
 Monte Carlo plumbing."""
 
+import os
+import subprocess
+import sys
 import threading
 import warnings
 from itertools import combinations
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from traffics import engine
+from traffics import engine, ensembles
 from traffics.engine import (
     Estimate,
     central_moment_estimate,
@@ -341,6 +344,56 @@ def test_size_check_counts_batch_and_degree(rng, monkeypatch):
         trace_test_graph(g, mats)
 
 
+@pytest.mark.parametrize("entry", ["real", "complex", "haar"])
+@pytest.mark.parametrize("kernel", ["pendant", "bridge", "general"])
+def test_pinned_split_matches_the_fallback_bits(monkeypatch, entry, kernel):
+    # without the pin all 7 samples are one chunk; a pinned pool of 2 or 3
+    # threads cuts tasks of 2, and the bits stay those of the fallback
+    if not ensembles._find_openblas():
+        pytest.skip("no OpenBLAS in this process")
+    T = {"pendant": _TWO_PAD_STAR, "bridge": directed_cycle(4), "general": _complete(4)}[kernel]
+    wigner = BandProfile.parse("wigner")
+    model = MatrixModel({"x": {
+        "real": (wigner, EntrySpec.gaussian(1)),
+        "complex": (wigner, EntrySpec.gaussian(0.6j)),
+        "haar": "haar",
+    }[entry]})
+    n, samples = 9, 7
+    assert engine._task_size(n, model) >= samples
+
+    def runs():
+        return [
+            (est.mean, est.stderr)
+            for threads in (1, 2, 3)
+            for injective in (False, True)
+            for est in [estimate_traffic_state(T, model, n, samples, seed=3,
+                                               injective=injective, threads=threads)]
+        ]
+
+    pinned = runs()
+    monkeypatch.setattr(ensembles, "_openblas", ())
+    fallback = runs()
+    assert pinned == fallback
+    assert pinned[0::2] == [pinned[0]] * 3 and pinned[1::2] == [pinned[1]] * 3
+
+
+@pytest.mark.parametrize("graph", ["bridge", "general"])
+def test_pinned_bits_match_multithreaded_blas(monkeypatch, blas_threads, graph):
+    # at n=150 OpenBLAS splits its products and QRs over its threads; the
+    # fallback runs the 4 Haar samples as one chunk on 2 BLAS threads, the
+    # pinned pool as 4 tasks on 1, and the bits agree
+    T = {"bridge": directed_cycle(4), "general": _complete(4)}[graph]
+    model = MatrixModel({"x": "haar"})
+
+    def runs():
+        return [(est.mean, est.stderr) for threads in (1, 2)
+                for est in [estimate_traffic_state(T, model, 150, 4, seed=3, threads=threads)]]
+
+    pinned = runs()
+    monkeypatch.setattr(ensembles, "_openblas", ())
+    assert runs() == pinned and pinned[0] == pinned[1]
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo estimation
 
@@ -417,10 +470,136 @@ def test_a_failing_task_stops_the_rest(monkeypatch):
     monkeypatch.setattr(MatrixModel, "sample", sample)
     T = TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "x")))
     before = threading.active_count()
+    blas = _blas_thread_count()
     with pytest.raises(ValueError, match="draw 2 failed"):
         estimate_traffic_state(T, _wigner_model(), n, samples, seed, threads=2)
     assert len(calls) < samples
     assert threading.active_count() == before
+    # the pin is undone on the way out
+    assert _blas_thread_count() == blas and ensembles.BLAS_LOCK._pins == 0
+
+
+def _blas_thread_count():
+    libs = ensembles._find_openblas()
+    return _common_count(libs) if libs else None
+
+
+def _common_count(libs):
+    """The thread count every OpenBLAS in ``libs`` reads, or all of them if they differ."""
+    counts = sorted({get() for _, get, _ in libs})
+    return counts[0] if len(counts) == 1 else counts
+
+
+@pytest.fixture
+def blas_threads():
+    """The thread count every OpenBLAS in the process reads, set to 2 for the test."""
+    libs = ensembles._find_openblas()
+    if not libs:
+        pytest.skip("no OpenBLAS in this process")
+    before = [get() for _, get, _ in libs]
+    for _, _, put in libs:
+        put(2)
+    yield lambda: _common_count(libs)
+    for (_, _, put), count in zip(libs, before):
+        put(count)
+
+
+def _record_blas_state(monkeypatch, get):
+    """Record (BLAS thread count, pins held) at every draw."""
+    seen = []
+    real_sample = MatrixModel.sample
+
+    def sample(self, n, rng, out=None):
+        seen.append((get(), ensembles.BLAS_LOCK._pins))
+        return real_sample(self, n, rng, out=out)
+
+    monkeypatch.setattr(MatrixModel, "sample", sample)
+    return seen
+
+
+_TWO_CYCLE = TestGraph(2, (Edge(0, 1, "x"), Edge(1, 0, "x")))
+
+
+def test_a_pooled_estimate_pins_blas_and_restores_it(monkeypatch, blas_threads):
+    seen = _record_blas_state(monkeypatch, blas_threads)
+    estimate_traffic_state(_TWO_CYCLE, _wigner_model(), 40, 30, seed=5, threads=2)
+    assert seen == [(1, 1)] * 30
+    assert blas_threads() == 2 and ensembles.BLAS_LOCK._pins == 0
+
+
+@pytest.mark.parametrize("threads,samples", [(1, 30), (2, 1)])
+def test_one_thread_or_one_sample_pins_nothing(monkeypatch, blas_threads, threads, samples):
+    seen = _record_blas_state(monkeypatch, blas_threads)
+    estimate_traffic_state(_TWO_CYCLE, _wigner_model(), 40, samples, seed=5, threads=threads)
+    assert seen == [(2, 0)] * samples
+
+
+def test_overlapping_estimates_restore_the_blas_thread_count(monkeypatch, blas_threads):
+    # two estimates on two user threads, more threads than cores; each
+    # estimate's draws wait until the other estimate draws too, so the first
+    # draw to go on sees both pins held
+    entered = {1: threading.Event(), 2: threading.Event()}
+    pins = []
+    real_sample = MatrixModel.sample
+
+    def sample(self, n, rng, out=None):
+        seed = rng.bit_generator.seed_seq.entropy
+        entered[seed].set()
+        if not entered[3 - seed].wait(10):
+            raise AssertionError("the other estimate never drew")
+        pins.append((blas_threads(), ensembles.BLAS_LOCK._pins))
+        return real_sample(self, n, rng, out=out)
+
+    monkeypatch.setattr(MatrixModel, "sample", sample)
+    results = {}
+
+    def run(seed):
+        results[seed] = estimate_traffic_state(_TWO_CYCLE, _wigner_model(), 40, 12, seed,
+                                               threads=3)
+
+    users = [threading.Thread(target=run, args=(seed,)) for seed in (1, 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for user in users:
+            user.start()
+        for user in users:
+            user.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(user.is_alive() for user in users)
+    assert set(results) == {1, 2}
+    assert len(pins) == 24 and pins[0] == (1, 2)
+    assert {count for count, _ in pins} == {1}
+    assert blas_threads() == 2 and ensembles.BLAS_LOCK._pins == 0
+
+
+def test_every_openblas_in_the_process_is_pinned(monkeypatch):
+    # scipy's linalg maps its own OpenBLAS beside numpy's; both are pinned,
+    # numpy's (the one the draws and contractions call) among them
+    pytest.importorskip("scipy.linalg")
+    monkeypatch.setattr(ensembles, "_openblas", None)
+    with open("/proc/self/maps") as maps:
+        mapped = {line.split()[-1] for line in maps if "openblas" in line}
+    if len(mapped) < 2:
+        pytest.skip("fewer than two OpenBLAS copies in this process")
+    libs = ensembles._find_openblas()
+    assert {path for path, _, _ in libs} == mapped
+    numpy_dirs = tuple(os.path.dirname(np.__file__) + tail for tail in (os.sep, ".libs" + os.sep))
+    assert any(path.startswith(numpy_dirs) for path, _, _ in libs)
+    before = [get() for _, get, _ in libs]
+    seen = _record_blas_state(monkeypatch, lambda: [get() for _, get, _ in libs])
+    estimate_traffic_state(_TWO_CYCLE, _wigner_model(), 40, 6, seed=5, threads=2)
+    assert seen == [([1] * len(libs), 1)] * 6
+    assert [get() for _, get, _ in libs] == before
+
+
+def test_import_looks_up_no_blas():
+    # the lookup waits for the first pooled estimate, so setup time does not grow
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    code = "import traffics, traffics.ensembles as e; assert e._openblas is None"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env=dict(os.environ, PYTHONPATH=src))
 
 
 @pytest.mark.parametrize("injective", [False, True])

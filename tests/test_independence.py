@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from traffics import ensembles, independence, moments
+from traffics import engine, ensembles, independence, moments
 from traffics.engine import estimate_traffic_state
 from traffics.ensembles import BandProfile, MatrixModel
 from traffics.graphs import Edge, TestGraph, canonical_key, edge_monomial, serialize
@@ -342,21 +342,43 @@ class _StandInLock:
         self.held = False
 
 
-def test_freeness_word_products_hold_the_blas_lock(monkeypatch):
-    lock = _StandInLock()
-    held = []
+def _watch_word_products(monkeypatch, record):
+    """Call ``record()`` at every matrix product of a freeness word, on two threads."""
+    seen = []
 
     class Watched(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
             if ufunc is np.matmul:
-                held.append(lock.held)
+                seen.append(record())
             inputs = tuple(np.asarray(a) for a in inputs)
             return getattr(ufunc, method)(*inputs, **kwargs)
 
     evaluate = moments.eval_polynomial_matrix
-    monkeypatch.setattr(ensembles, "BLAS_LOCK", lock)
+    monkeypatch.setattr(engine, "_thread_count", lambda threads: 2)
     monkeypatch.setattr(
         moments, "eval_polynomial_matrix", lambda a, mats: evaluate(a, mats).view(Watched)
     )
+    return seen
+
+
+def test_freeness_word_products_hold_the_blas_lock(monkeypatch):
+    # where no OpenBLAS is found, nothing is pinned: one task of three
+    # samples, and the lock is held at each of the word's three products
+    lock = _StandInLock()
+    monkeypatch.setattr(ensembles, "_openblas", ())
+    monkeypatch.setattr(ensembles, "BLAS_LOCK", lock)
+    held = _watch_word_products(monkeypatch, lambda: lock.held)
     freeness_moment_test("xxyy", XY, XY_WIGNER, n=8, samples=3, seed=1)
-    assert held == [True] * 3  # one task, three products of the word
+    assert held == [True] * 3
+
+
+def test_freeness_word_products_run_on_one_blas_thread(monkeypatch):
+    libs = ensembles._find_openblas()
+    if not libs:
+        pytest.skip("no OpenBLAS in this process")
+    get_threads = libs[0][1]
+    lock = ensembles.BLAS_LOCK._lock
+    seen = _watch_word_products(monkeypatch, lambda: (get_threads(), lock.locked()))
+    freeness_moment_test("xxyy", XY, XY_WIGNER, n=8, samples=3, seed=1)
+    # three tasks of one sample, three products each, none under the lock
+    assert seen == [(1, False)] * 9

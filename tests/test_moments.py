@@ -332,6 +332,17 @@ def test_pruned_markov_moments_match_the_unpruned_sums():
         _same(traffic_moment(a, m), cyclic_word_reference([a] * m, wigner_ltd))
 
 
+@pytest.mark.parametrize("kind", [float, complex])
+def test_inexact_coefficients_multiply_in_word_order(kind):
+    # exact products may be shared by words with one multiset of terms;
+    # inexact ones may not: at order 8, multiplying 0.1, 0.2 and 0.3 in
+    # sorted rather than word order moves the last bit of this moment
+    a = TrafficPolynomial(tuple(
+        (t, kind(c)) for t, c in parse_poly("1/10*x + 1/5*row(x) + 3/10*col(x)").terms
+    ))
+    _same(traffic_moment(a, 8), cyclic_word_reference([a] * 8, wigner_ltd))
+
+
 @pytest.mark.parametrize("name", sorted(PRUNING_EVALUATORS))
 def test_pruned_mixed_moments_match_the_unpruned_sums(name):
     ltd = PRUNING_EVALUATORS[name]
