@@ -186,6 +186,43 @@ def double_tree_code(T: TestGraph) -> Optional[tuple]:
     return min(code[root], tuple(sorted(code[other] + ((label, 2 - away, tuple(rest)),))))
 
 
+def _declare(
+    *,
+    support: str = "double_tree",
+    congruent_weight: Optional[Callable[[Mapping[str, int]], Number]] = None,
+) -> Callable[[Callable], Callable]:
+    """Mark an injective evaluator with what :func:`ltd_trace` may know of
+    it: the ``support`` its limit lives on and its ``congruent_weight``, if
+    its value on a double tree is a function of the congruent pad counts."""
+
+    def mark(fn: Callable) -> Callable:
+        fn.support = support
+        fn.congruent_weight = congruent_weight
+        return fn
+
+    return mark
+
+
+def _congruent_product(counts: Mapping[str, int], betas: Any) -> Number:
+    """Product over labels of beta^(congruent pad count), the real pads' weight."""
+    total: Number = 1
+    for lab, cnt in counts.items():
+        total = total * _beta_of(betas, lab) ** cnt
+    return total
+
+
+def _congruent_weight(betas: Any) -> Optional[Callable[[Mapping[str, int]], Number]]:
+    """The ``congruent_weight`` of :func:`wigner_ltd` under ``betas``, or None
+    unless every beta is an exact real (an int or a Fraction; a label
+    without one has beta 1).  Inexact betas keep the per-graph arithmetic,
+    and with it their bits."""
+    given = betas.values() if isinstance(betas, Mapping) else () if betas is None else (betas,)
+    if not all(isinstance(b, (int, Fraction)) for b in given):
+        return None
+    return lambda counts: _congruent_product(counts, betas)
+
+
+@_declare(congruent_weight=_congruent_weight(None))
 def wigner_ltd(T: TestGraph, betas: Any = None) -> Number:
     """Limit of tau^0[T] for a Wigner family: zero off colored double trees,
     otherwise the product of the pad weights.
@@ -197,6 +234,11 @@ def wigner_ltd(T: TestGraph, betas: Any = None) -> Number:
     endpoints under a uniformly random total order of the vertices; the
     average factorizes over the connected components of the subgraph of
     non-real-labelled pads, each averaged exactly over its |V|! orders.
+
+    Called with T alone, as :func:`ltd_trace` calls it, every beta is 1, so
+    it declares a ``congruent_weight`` (the constant 1) and ``ltd_trace``
+    counts its quotients without building them.  :func:`model_ltd` declares
+    the same for a model whose betas are exact reals.
     """
     rep = classify_double_tree(T)
     if not rep.is_double_tree:
@@ -213,9 +255,7 @@ def _pad_weight(T: TestGraph, rep: DoubleTreeReport, betas: Any) -> Number:
             complex_pads.append(pad)
         elif pad.orientation == "congruent":
             counts[pad.label] = counts.get(pad.label, 0) + 1
-    total: Number = 1
-    for lab, cnt in counts.items():
-        total = total * _beta_of(betas, lab) ** cnt
+    total = _congruent_product(counts, betas)
     if not complex_pads:
         return total
     # components of the complex-labelled subgraph
@@ -728,6 +768,7 @@ def classify_orthogonal_cactus(T: TestGraph) -> CactusReport:
     return CactusReport(True, True, tuple(sorted(sizes)))
 
 
+@_declare(support="all")
 def haar_ltd(T: TestGraph) -> int:
     """Limit of tau^0[T] for a Haar orthogonal family: a product of signed
     Catalan numbers over the pads of an anti-directed cactus, else zero.
@@ -736,7 +777,8 @@ def haar_ltd(T: TestGraph) -> int:
     the Mobius weight of a join loop covering k column pairs.  The 2-pad is
     weight 1; the anti-directed 4-cycle is -C_1 = -1 (exact value at finite
     n: -(n-2)(n-3)/(n(n+2)), from the inverse of the 3x3 pairing Gram
-    matrix)."""
+    matrix).  Cacti are not double trees, so it declares the support
+    ``"all"`` and :func:`ltd_trace` refuses to scan double trees for it."""
     rep = classify_orthogonal_cactus(T)
     if not (rep.is_cactus and rep.is_anti_directed):
         return 0
@@ -766,32 +808,40 @@ def can_pair(T: TestGraph) -> bool:
     return not odd
 
 
-def double_tree_quotients(
+def _double_tree_scan(
     T: TestGraph,
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], TestGraph]]:
-    """All vertex partitions of T whose quotient is a colored double tree.
+    leaf: Callable[[list[int], list[list[int]], dict[str, int]], None],
+) -> None:
+    """The pruned search for the double-tree quotients of T.
 
-    Yields (blocks, quotient graph).  A graph that :func:`can_pair` refuses
-    yields nothing at once.  Otherwise the scan assigns vertices to blocks
-    in index order and prunes any prefix that already violates the
-    double-tree conditions (a loop, a class of three edges, mixed labels in
-    a class, or a cycle among completed classes), so it touches far fewer
-    states than the full partition lattice while yielding exactly the same
-    quotients.  Stars are ignored: quotient edges carry none.
+    Calls ``leaf(block_of, blocks, congruent)`` at each one: ``block_of[v]``
+    is the block of vertex v, ``blocks`` lists the blocks in the order of
+    their first vertex, and ``congruent`` maps each label of T to its number
+    of congruent pads.  The arguments are the scan's own state, valid only
+    during the call.  A graph that :func:`can_pair` refuses has no leaf.
+    Vertices go to blocks in index order, and any prefix that already breaks
+    the double-tree conditions (a loop, a class of three edges, mixed labels
+    in a class, or a cycle among the classes) is pruned.  A pad's
+    orientation is known once its second edge lands, and its count is kept
+    and undone with the pad.  Stars are ignored.
     """
     if not can_pair(T):
         return
     n = T.n_vertices
-    later: list[list[tuple[int, str]]] = [[] for _ in range(n)]
+    # per vertex, its edges to earlier vertices: (earlier vertex, label,
+    # whether the edge leaves the earlier vertex)
+    later: list[list[tuple[int, str, bool]]] = [[] for _ in range(n)]
     for e in T.edges:
         a, b = (e.src, e.tar) if e.src < e.tar else (e.tar, e.src)
-        later[b].append((a, e.label))
+        later[b].append((a, e.label, e.src == a))
     remaining = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
         remaining[k] = remaining[k + 1] + len(later[k])
     block_of = [-1] * n
     blocks: list[list[int]] = []
-    cls_edges: dict[tuple[int, int], list[str]] = {}
+    # class -> (label, source block of its first edge) while open, None once closed
+    cls_edges: dict[tuple[int, int], Optional[tuple[str, int]]] = {}
+    congruent = dict.fromkeys(T.labels(), 0)
     parent = list(range(n))  # skeleton union-find over block ids, no compression
     open_classes = 0
 
@@ -803,39 +853,44 @@ def double_tree_quotients(
     def try_place(v: int, b: int):
         """Returns an undo record, or None if the placement is pruned."""
         nonlocal open_classes
-        undo_cls: list[tuple[int, int]] = []
+        undo_cls: list[tuple[tuple[int, int], Optional[tuple[str, int]]]] = []
         undo_union: list[int] = []
+        undo_congruent: list[str] = []
         opened = closed = 0
         ok = True
-        for u, lab in later[v]:
+        for u, lab, out in later[v]:
             a = block_of[u]
             if a == b:
                 ok = False  # quotient loop
                 break
             key = (a, b) if a < b else (b, a)
-            members = cls_edges.get(key)
-            if members is None:
+            src = a if out else b
+            if key not in cls_edges:
                 ra, rb = find(key[0]), find(key[1])
                 if ra == rb:
                     ok = False  # skeleton cycle
                     break
                 parent[ra] = rb
                 undo_union.append(ra)
-                cls_edges[key] = [lab]
-                undo_cls.append(key)
+                cls_edges[key] = (lab, src)
+                undo_cls.append((key, None))
                 opened += 1
-            elif len(members) == 1:
-                if members[0] != lab:
-                    ok = False  # mixed labels
-                    break
-                members.append(lab)
-                undo_cls.append(key)
-                closed += 1
-            else:
+                continue
+            first = cls_edges[key]
+            if first is None:
                 ok = False  # third edge in a class
                 break
+            if first[0] != lab:
+                ok = False  # mixed labels
+                break
+            cls_edges[key] = None
+            undo_cls.append((key, first))
+            closed += 1
+            if first[1] == src:
+                congruent[lab] += 1
+                undo_congruent.append(lab)
         open_classes += opened - closed
-        record = (undo_cls, undo_union, opened - closed)
+        record = (undo_cls, undo_union, undo_congruent, opened - closed)
         # a pad left open needs one of the edges still to come to close it
         if not ok or open_classes > remaining[v + 1]:
             undo(record)
@@ -844,28 +899,22 @@ def double_tree_quotients(
 
     def undo(record) -> None:
         nonlocal open_classes
-        undo_cls, undo_union, net = record
-        for key in reversed(undo_cls):
-            members = cls_edges[key]
-            if len(members) == 2:
-                members.pop()
-            else:
+        undo_cls, undo_union, undo_congruent, net = record
+        for key, first in reversed(undo_cls):
+            if first is None:
                 del cls_edges[key]
+            else:
+                cls_edges[key] = first
         for ra in reversed(undo_union):
             parent[ra] = ra
+        for lab in undo_congruent:
+            congruent[lab] -= 1
         open_classes -= net
 
-    def rec(v: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], TestGraph]]:
+    def rec(v: int) -> None:
         if v == n:
             if open_classes == 0:
-                bl = tuple(tuple(b) for b in blocks)
-                q = TestGraph(
-                    len(blocks),
-                    tuple(
-                        Edge(block_of[e.src], block_of[e.tar], e.label) for e in T.edges
-                    ),
-                )
-                yield bl, q
+                leaf(block_of, blocks, congruent)
             return
         for b in range(len(blocks) + 1):
             fresh = b == len(blocks)
@@ -875,14 +924,53 @@ def double_tree_quotients(
             if rec_state is not None:
                 block_of[v] = b
                 blocks[b].append(v)
-                yield from rec(v + 1)
+                rec(v + 1)
                 blocks[b].pop()
                 block_of[v] = -1
                 undo(rec_state)
             if fresh:
                 blocks.pop()
 
-    yield from rec(0)
+    rec(0)
+
+
+def double_tree_quotients(
+    T: TestGraph,
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], TestGraph]]:
+    """All vertex partitions of T whose quotient is a colored double tree.
+
+    Yields (blocks, quotient graph).  A graph that :func:`can_pair` refuses
+    yields nothing.  Otherwise the pruned scan behind :func:`ltd_trace`
+    assigns vertices to blocks in index order and drops any prefix that
+    already violates the double-tree conditions (a loop, a class of three
+    edges, mixed labels in a class, or a cycle among completed classes), so
+    it touches far fewer states than the full partition lattice while
+    yielding exactly the same quotients.  The scan runs to the end before
+    the first quotient is yielded.  Stars are ignored: quotient edges carry
+    none.
+    """
+    found = []
+
+    def leaf(block_of: list[int], blocks: list[list[int]], congruent: dict[str, int]) -> None:
+        found.append((
+            tuple(tuple(b) for b in blocks),
+            TestGraph(
+                len(blocks),
+                tuple(Edge(block_of[e.src], block_of[e.tar], e.label) for e in T.edges),
+            ),
+        ))
+
+    _double_tree_scan(T, leaf)
+    yield from found
+
+
+def _require_double_tree_support(ltd_fn: Callable[[TestGraph], Number]) -> None:
+    """Refuse an evaluator whose limit lives off the double trees."""
+    declared = getattr(ltd_fn, "support", "double_tree")
+    if declared != "double_tree":
+        raise ValueError(
+            f"this limit lives on support {declared!r}; a double-tree scan misses it"
+        )
 
 
 def ltd_trace(
@@ -894,25 +982,53 @@ def ltd_trace(
     """Limit of tau[T]: the sum of ltd_fn over the quotients of T.
 
     ``ltd_fn`` gives the limiting injective value of a quotient (for example
-    ``lambda q: wigner_ltd(q, betas)``); quotients are grouped up to
-    isomorphism so ltd_fn runs once per shape, on one representative of it.
+    ``model_ltd(model)`` or ``lambda q: rbm_ltd(q, regimes)``); quotients
+    are grouped up to isomorphism so ltd_fn runs once per shape, on one
+    representative of it.
     The default scan visits only double-tree quotients, which carries every
     band-regime limit; they are grouped by :func:`double_tree_code`, summed
     in code order, and the representative is the first quotient of T the
     scan yields in each class.  A limit supported elsewhere (the orthogonal
     one lives on cacti) needs ``support="all"``, the full partition lattice,
     grouped by ``graphs.shape_sum`` with canonical forms as representatives.
+
+    An evaluator may say two things about itself by attributes, as
+    :func:`wigner_ltd`, :func:`haar_ltd` and those of :func:`model_ltd` do.
+    ``support`` names where its limit lives; a double-tree scan with one
+    whose support is not ``"double_tree"`` is a ``ValueError``.
+    ``congruent_weight``, when present, is a function of a mapping from
+    label to congruent pad count (labels with none left out) that gives the
+    evaluator's value on every double tree with those counts.  Then the
+    double-tree scan only tallies the counts of its quotients and sums
+    multiplicity times weight, with no quotient graph or code.
     """
     if support == "double_tree":
-        classes: dict[tuple, list] = {}
-        for _, q in double_tree_quotients(T):
-            code = double_tree_code(q)
-            slot = classes.get(code)
-            if slot is None:
-                classes[code] = [q, 1]
-            else:
-                slot[1] += 1
-        groups = [classes[code] for code in sorted(classes)]
+        _require_double_tree_support(ltd_fn)
+        weight = getattr(ltd_fn, "congruent_weight", None)
+        if weight is not None:
+            tally: dict[tuple[tuple[str, int], ...], int] = {}
+
+            def leaf(
+                block_of: list[int], blocks: list[list[int]], congruent: dict[str, int]
+            ) -> None:
+                key = tuple(congruent.items())
+                tally[key] = tally.get(key, 0) + 1
+
+            _double_tree_scan(T, leaf)
+            groups: Any = [
+                ({lab: k for lab, k in key if k}, mult) for key, mult in tally.items()
+            ]
+            ltd_fn = weight  # evaluated once per class of counts
+        else:
+            classes: dict[tuple, list] = {}
+            for _, q in double_tree_quotients(T):
+                code = double_tree_code(q)
+                slot = classes.get(code)
+                if slot is None:
+                    classes[code] = [q, 1]
+                else:
+                    slot[1] += 1
+            groups = [classes[code] for code in sorted(classes)]
     elif support == "all":
         from .partitions import enumerate_partitions
 
@@ -946,6 +1062,13 @@ def model_ltd(model: MatrixModel) -> Callable[[TestGraph], Number]:
     the pseudo-variances of the model's entry laws.  A model that mixes fixed
     bands, or Haar labels, with another regime is refused: no exact limit
     covers it.
+
+    Each evaluator declares what :func:`ltd_trace` may know of it.  The Haar
+    and fixed-band ones declare the support ``"all"``, as
+    :func:`model_support` gives.  The all-Wigner one declares a
+    ``congruent_weight`` when every pseudo-variance is an exact real (an
+    ``int`` or a ``Fraction``), so the double-tree scan counts pads instead
+    of building quotients.
     """
     regime = _regimes(model)
     kinds = set(regime.values())
@@ -962,10 +1085,12 @@ def model_ltd(model: MatrixModel) -> Callable[[TestGraph], Number]:
     profiles, entries = model.profiles(), model.entries()
     if kinds == {"fixed"}:
         bands = {lab: p.b for lab, p in profiles.items()}
-        return lambda T: fixed_band_ltd(T, bands, entries)
+        return _declare(support="all")(lambda T: fixed_band_ltd(T, bands, entries))
     betas = {lab: e.beta for lab, e in entries.items()}
     if kinds == {"wigner"}:
-        return lambda T: wigner_ltd(T, betas)
+        return _declare(congruent_weight=_congruent_weight(betas))(
+            lambda T: wigner_ltd(T, betas)
+        )
     return lambda T: rbm_ltd(T, profiles, betas)
 
 

@@ -57,7 +57,14 @@ from .graphs import (
     substitute_graph,
     unit_monomial,
 )
-from .limits import can_pair, catalan, ltd_trace, model_support, wigner_ltd
+from .limits import (
+    _require_double_tree_support,
+    can_pair,
+    catalan,
+    ltd_trace,
+    model_support,
+    wigner_ltd,
+)
 
 Number = Union[int, float, Fraction, complex]
 
@@ -175,7 +182,11 @@ def _cyclic_word_ltd(
     runs, with terms named by their monomial and edgeless decorations left
     out, or, with no step, by its sorted decorations alone; equal keys
     close into isomorphic graphs.
+
+    An evaluator that declares a support other than double trees is refused
+    up front, even where every class would be dropped unscanned.
     """
+    _require_double_tree_support(ltd_fn)
     m = len(polys)
     ids: dict[tuple[GraphMonomial, Any], int] = {}
     slot_ids = [tuple(ids.setdefault(t, len(ids)) for t in p.terms) for p in polys]

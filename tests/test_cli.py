@@ -50,6 +50,11 @@ def test_ltd_haar(capsys):
     assert code == 0
     assert "orthogonal cactus: yes (pads 4)" in out
     assert "ltd = -1 ≈ -1.000000" in out
+    # the trace sums the whole lattice, as the Haar evaluator's support says;
+    # its two double-tree quotients alone would give 2
+    code, out, _ = run(capsys, "ltd", "--graph", ANTI4, "--ensemble", "haar", "--trace")
+    assert code == 0
+    assert "ltd = 1 ≈ 1.000000" in out
     code, out, _ = run(capsys, "ltd", "--graph", CYCLE4, "--ensemble", "haar")
     assert "orthogonal cactus: no" in out
     assert "ltd = 0 ≈ 0.000000" in out

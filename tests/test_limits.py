@@ -942,3 +942,45 @@ def test_ltd_trace_matches_the_canonical_form_reference_on_the_corpus(evaluator)
     for g in build_double_tree_corpus(3):
         got, want = ltd_trace(g, ltd), ltd_trace_reference(g, ltd)
         assert (got, type(got)) == (want, type(want))
+
+
+def wigner_model_ltd(betas):
+    """model_ltd's evaluator for an all-Wigner model with these betas."""
+    wigner = BandProfile.parse("wigner")
+    return model_ltd(MatrixModel({
+        lab: (wigner, EntrySpec.gaussian(b)) for lab, b in betas.items()
+    }))
+
+
+# evaluators that declare a congruent_weight: ltd_trace counts their pads
+PAD_COUNTING = {"bare": wigner_ltd} | {
+    f"beta={beta}": wigner_model_ltd({"x": beta, "y": Fraction(1, 3)})
+    for beta in (1, Fraction(1, 2), -1, 0)
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAD_COUNTING))
+def test_pad_counts_match_the_canonical_form_reference(name):
+    ltd = PAD_COUNTING[name]
+    assert ltd.congruent_weight is not None
+    for g in build_double_tree_corpus(3):
+        got, want = ltd_trace(g, ltd), ltd_trace_reference(g, ltd)
+        assert (got, type(got)) == (want, type(want)), g
+    one = TestGraph(1)
+    assert (ltd_trace(one, ltd), type(ltd_trace(one, ltd))) == (1, int)
+    odd = directed_cycle(3)
+    assert not limits.can_pair(odd)
+    assert (ltd_trace(odd, ltd), type(ltd_trace(odd, ltd))) == (0, int)
+
+
+def test_double_tree_scans_refuse_limits_that_live_elsewhere():
+    # the anti-directed 4-cycle's Haar limit sums over the whole lattice; its
+    # two double-tree quotients alone would give 2
+    anti4 = anti_cycle(4)
+    fixed = model_ltd(MatrixModel({"x": (BandProfile.parse("fixed:1"), EntrySpec.rademacher())}))
+    for ltd in (haar_ltd, model_ltd(MatrixModel({"x": "haar"})), fixed):
+        assert ltd.support == "all"
+        with pytest.raises(ValueError, match="support 'all'"):
+            ltd_trace(anti4, ltd)
+    assert ltd_trace(anti4, haar_ltd, support="all") == 1
+    assert ltd_trace(anti4, fixed, support="all") == naive_trace_sum(anti4, fixed)

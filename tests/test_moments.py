@@ -1,5 +1,6 @@
 """Limiting moments of graph polynomials and the Markov family."""
 
+import functools
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from traffics import graphs, moments
-from traffics.ensembles import BandProfile
+from traffics import graphs, limits, moments
+from traffics.ensembles import BandProfile, MatrixModel
 from traffics.graphs import (
     Edge,
     GraphMonomial,
@@ -21,7 +22,7 @@ from traffics.graphs import (
     substitute_graph,
 )
 from traffics.independence import free_cumulants, noncrossing_partitions
-from traffics.limits import can_pair, ltd_trace, rbm_ltd, wigner_ltd
+from traffics.limits import can_pair, haar_ltd, ltd_trace, model_ltd, rbm_ltd, wigner_ltd
 from traffics.moments import (
     clt_alpha_split,
     eval_polynomial_matrix,
@@ -44,6 +45,7 @@ from oracles import (
     ltd_trace_reference,
     word_trace_terms,
 )
+from test_limits import PAD_COUNTING, wigner_model_ltd
 
 CATALAN = catalan_by_recurrence(8)
 
@@ -323,6 +325,85 @@ PRUNING_EVALUATORS = {
     "complex_beta": lambda T: wigner_ltd(T, {"x": 0.6j, "y": 0.3 + 0.4j}),
     "band": lambda T: rbm_ltd(T, BAND_REGIMES),
 }
+
+
+@pytest.mark.parametrize("name", sorted(PAD_COUNTING))
+def test_pad_counting_moments_match_the_quotient_graph_sums(name):
+    ltd = PAD_COUNTING[name]
+    assert ltd.congruent_weight is not None
+
+    def graph_path(T):  # declares nothing, so every scan builds its quotients
+        return ltd(T)
+
+    a = markov_element(Fraction(1, 2), Fraction(3, 2))
+    _same(traffic_moment(a, 0, ltd), ltd_trace_reference(TestGraph(1), ltd))
+    for m in range(1, 9):
+        _same(traffic_moment(a, m, ltd), cyclic_word_reference([a] * m, graph_path))
+    word = [a, markov_element(1, Fraction(1, 2), "y")] * 4
+    for m in range(2, 9, 2):
+        _same(mixed_moment_ltd(word[:m], ltd), cyclic_word_reference(word[:m], graph_path))
+    b = parse_poly("x*y + y*x")
+    for m in range(1, 5):
+        _same(mixed_moment_ltd([b] * m, ltd), cyclic_word_reference([b] * m, graph_path))
+
+
+@pytest.mark.parametrize("beta, want", [
+    (0.5, ["88.691650390625", "1045.9203033447266"]),
+    (0.6j, ["(29.134765625+0j)", "(229.34594726562497+5.1757670415167324e-15j)"]),
+], ids=["float", "complex"])
+def test_inexact_betas_keep_their_bits(beta, want):
+    # frozen from the quotient-graph sums these evaluators still take
+    a = markov_element(Fraction(1, 2), Fraction(3, 2))
+    ltd = wigner_model_ltd({"x": beta})
+    assert ltd.congruent_weight is None
+    assert [repr(traffic_moment(a, m, ltd)) for m in (6, 8)] == want
+
+
+def test_pad_counting_builds_no_quotient_graph(monkeypatch):
+    calls: Counter = Counter()
+    scanning = []
+
+    def scan(T, ltd_fn):
+        scanning.append(T)
+        try:
+            return ltd_trace(T, ltd_fn)
+        finally:
+            scanning.pop()
+
+    def counted(name, fn):
+        def during_scans(*args):
+            if scanning:
+                calls[name] += 1
+            return fn(*args)
+        return during_scans
+
+    monkeypatch.setattr(moments, "ltd_trace", scan)
+    monkeypatch.setattr(TestGraph, "__post_init__", counted("graph", TestGraph.__post_init__))
+    for name in ("double_tree_code", "classify_double_tree"):
+        monkeypatch.setattr(limits, name, counted(name, getattr(limits, name)))
+    @functools.wraps(wigner_ltd)  # copies the declaration, as a tracing wrapper does
+    def wrapped(T):
+        return wigner_ltd(T)
+
+    a = markov_element(Fraction(1, 2), Fraction(3, 2))
+    want = Fraction(1597, 8)
+    for ltd in (None, wigner_model_ltd({"x": 1}), wrapped):
+        _same(traffic_moment(a, 6, ltd), want)
+    assert calls == Counter()
+    # a plain lambda declares nothing: the same value from quotient graphs
+    _same(traffic_moment(a, 6, lambda T: wigner_ltd(T)), want)
+    assert calls["graph"] and calls["double_tree_code"] and calls["classify_double_tree"]
+
+
+def test_moment_sums_refuse_limits_off_the_double_trees():
+    fixed = model_ltd(MatrixModel({"x": BandProfile.parse("fixed:1")}))
+    for ltd in (haar_ltd, fixed):
+        # odd orders too, though every word of them is dropped unscanned
+        for m in (0, 3, 4):
+            with pytest.raises(ValueError, match="support 'all'"):
+                traffic_moment("x", m, ltd)
+        with pytest.raises(ValueError, match="support 'all'"):
+            mixed_moment_ltd(["x", "x"], ltd)
 
 
 def test_pruned_markov_moments_match_the_unpruned_sums():
