@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -62,6 +63,8 @@ DEFAULT_ENUM_LIMIT = 10**8
 # a sample holding at least this many matrix entries is drawn and contracted
 # as a task of its own; smaller ones a chunk at a time (see ``_sample_values``)
 SAMPLE_TASK_ENTRIES = 2**18
+# the longest a pooled estimate waits for the OS to end its threads (see _await_exit)
+THREAD_EXIT_WAIT_S = 0.05
 
 
 def _bindings(labels: Sequence[str], matrices: Any) -> dict[str, np.ndarray]:
@@ -455,6 +458,24 @@ def _check_sizes(n: int, samples: int) -> None:
         raise ValueError(f"need n >= 1 and samples >= 1, got n={n}, samples={samples}")
 
 
+def _await_exit(native_ids: Sequence[int]) -> None:
+    """Wait until the OS has ended the threads ``native_ids``, for at most
+    ``THREAD_EXIT_WAIT_S``; where ``/proc/self/task`` is missing, return at once.
+
+    ``ThreadPoolExecutor.shutdown`` returns once its threads have run their
+    last Python code, a moment before the OS ends them, and glibc hands a
+    thread's malloc arena to the next new thread only then.  A pool started
+    in that gap opens one more arena, which keeps the memory its thread last
+    held (about 20 MB at n=1000), so the peak RSS of a run of estimates
+    would step up at random.
+    """
+    deadline = time.perf_counter() + THREAD_EXIT_WAIT_S
+    for tid in native_ids:
+        path = f"/proc/self/task/{tid}"
+        while os.path.exists(path) and time.perf_counter() < deadline:
+            time.sleep(0)
+
+
 def _sample_values(
     model: Any,
     labels: Sequence[str],
@@ -479,7 +500,8 @@ def _sample_values(
     the loop ends, BLAS calls on any thread run on one thread.  Where no
     OpenBLAS is found, the split is the one above and the lock is held.
     With one task or one thread the tasks run on the calling thread;
-    otherwise a pool of at most ``threads`` runs them.  A sample's value
+    otherwise a pool of at most ``threads`` runs them, and the call returns
+    once the OS has ended the pool's threads (``_await_exit``).  A sample's value
     does not depend on the samples stacked with it, and results are
     concatenated in task order, so neither the split nor the thread count
     changes a bit.  Each thread allocates its slots once, sized to the
@@ -512,12 +534,19 @@ def _sample_values(
         workers = min(workers, len(tasks))
         if workers == 1:
             return np.concatenate([task(t) for t in tasks])
-        pool = ThreadPoolExecutor(max_workers=workers,
-                                  initializer=BLAS_LOCK.pass_this_thread if pinned else None)
+        native_ids: list[int] = []
+
+        def start() -> None:
+            native_ids.append(threading.get_native_id())
+            if pinned:
+                BLAS_LOCK.pass_this_thread()
+
+        pool = ThreadPoolExecutor(max_workers=workers, initializer=start)
         try:
             return np.concatenate(list(pool.map(task, tasks)))
         finally:
             pool.shutdown(cancel_futures=True)
+            _await_exit(native_ids)
 
 
 def _trace_values(

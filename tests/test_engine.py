@@ -479,6 +479,26 @@ def test_a_failing_task_stops_the_rest(monkeypatch):
     assert _blas_thread_count() == blas and ensembles.BLAS_LOCK._pins == 0
 
 
+def test_a_pooled_estimate_returns_after_its_threads_are_gone(monkeypatch):
+    # a pool started before the OS ends the last pool's threads opens a new
+    # malloc arena, so the call waits for them
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task")
+    waited = []
+    real_await = engine._await_exit
+
+    def await_exit(native_ids):
+        waited.append(list(native_ids))
+        real_await(native_ids)
+
+    monkeypatch.setattr(engine, "_await_exit", await_exit)
+    monkeypatch.setattr(engine, "SAMPLE_TASK_ENTRIES", 0)  # a pool with or without OpenBLAS
+    estimate_traffic_state(_TWO_CYCLE, _wigner_model(), 40, 6, seed=5, threads=2)
+    assert len(waited) == 1 and 1 <= len(waited[0]) <= 2
+    assert threading.get_native_id() not in waited[0]
+    assert not any(os.path.exists(f"/proc/self/task/{tid}") for tid in waited[0])
+
+
 def _blas_thread_count():
     libs = ensembles._find_openblas()
     return _common_count(libs) if libs else None
