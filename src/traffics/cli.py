@@ -256,8 +256,7 @@ def _cmd_ltd(res: _Resolver) -> int:
             line = f"orthogonal cactus: no ({rep.reason})"
     else:
         line = _classification_line(limits.classify_double_tree(T))
-    support = limits.model_support(model)
-    value = limits.ltd_trace(T, ltd, support=support) if res.flag("trace") else ltd(T)
+    value = limits.ltd_trace(T, ltd) if res.flag("trace") else ltd(T)
     _write_out(f"{line}\nltd = {_fmt_value(value)}\n", res.str_("out"))
     return 0
 
@@ -280,8 +279,7 @@ def _cmd_estimate(res: _Resolver) -> int:
     threads = res.int_("threads", None, env=THREADS_ENV)
     injective = res.flag("injective")
     ltd = limits.model_ltd(model)
-    support = limits.model_support(model)
-    theory = ltd(T) if injective else limits.ltd_trace(T, ltd, support=support)
+    theory = ltd(T) if injective else limits.ltd_trace(T, ltd)
     rows = []
     for n in ns:
         est = engine.estimate_traffic_state(
@@ -364,9 +362,7 @@ def _cmd_moments(res: _Resolver) -> int:
     if order < 1:
         raise ValueError(f"moment order must be >= 1, got {order}")
     labels = {lab for mono, _ in poly.terms for lab in mono.graph.labels()}
-    model = _assemble(labels, res)
-    moments.require_moment_support(model)
-    ltd = limits.model_ltd(model)
+    ltd = limits.model_ltd(_assemble(labels, res))
     lines = ["order value"]
     for k in range(1, order + 1):
         value = moments.traffic_moment(poly, k, ltd)

@@ -507,13 +507,11 @@ def freeness_moment_test(
     from .ensembles import BLAS_LOCK, MatrixModel
     from .limits import model_ltd
     from .moments import eval_polynomial_matrix, mixed_moment_ltd, traffic_moment
-    from .moments import require_moment_support
 
     import numpy as np
 
     word = tuple(word)
     mm = MatrixModel(model)
-    require_moment_support(mm)
     ltd = model_ltd(mm)
 
     counts: dict[str, int] = {}

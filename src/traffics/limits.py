@@ -21,9 +21,10 @@ dimension grows:
   Catalan numbers.
 
 ``ltd_trace`` turns any of these injective limits into the limit of tau[T]
-by summing it over the quotients of T, once per isomorphism class: double
-trees are classed by ``double_tree_code``, a linear-time tree code, and the
-full partition lattice by ``graphs.shape_sum``.  Cut integrals (integers on
+by summing it over the quotients of T that its evaluator declares, once per
+isomorphism class: double trees are classed by ``double_tree_code``, a
+linear-time tree code, and the full partition lattice by
+``graphs.shape_sum``.  Cut integrals (integers on
 one grid), closed forms and Mobius weights are exact; Monte Carlo enters
 only in the test suite.
 """
@@ -778,7 +779,7 @@ def haar_ltd(T: TestGraph) -> int:
     weight 1; the anti-directed 4-cycle is -C_1 = -1 (exact value at finite
     n: -(n-2)(n-3)/(n(n+2)), from the inverse of the 3x3 pairing Gram
     matrix).  Cacti are not double trees, so it declares the support
-    ``"all"`` and :func:`ltd_trace` refuses to scan double trees for it."""
+    ``"all"`` and :func:`ltd_trace` sums it over every quotient."""
     rep = classify_orthogonal_cactus(T)
     if not (rep.is_cactus and rep.is_anti_directed):
         return 0
@@ -964,46 +965,32 @@ def double_tree_quotients(
     yield from found
 
 
-def _require_double_tree_support(ltd_fn: Callable[[TestGraph], Number]) -> None:
-    """Refuse an evaluator whose limit lives off the double trees."""
-    declared = getattr(ltd_fn, "support", "double_tree")
-    if declared != "double_tree":
-        raise ValueError(
-            f"this limit lives on support {declared!r}; a double-tree scan misses it"
-        )
-
-
-def ltd_trace(
-    T: TestGraph,
-    ltd_fn: Callable[[TestGraph], Number],
-    *,
-    support: str = "double_tree",
-) -> Number:
+def ltd_trace(T: TestGraph, ltd_fn: Callable[[TestGraph], Number]) -> Number:
     """Limit of tau[T]: the sum of ltd_fn over the quotients of T.
 
     ``ltd_fn`` gives the limiting injective value of a quotient (for example
     ``model_ltd(model)`` or ``lambda q: rbm_ltd(q, regimes)``); quotients
     are grouped up to isomorphism so ltd_fn runs once per shape, on one
     representative of it.
-    The default scan visits only double-tree quotients, which carries every
-    band-regime limit; they are grouped by :func:`double_tree_code`, summed
-    in code order, and the representative is the first quotient of T the
-    scan yields in each class.  A limit supported elsewhere (the orthogonal
-    one lives on cacti) needs ``support="all"``, the full partition lattice,
-    grouped by ``graphs.shape_sum`` with canonical forms as representatives.
 
-    An evaluator may say two things about itself by attributes, as
-    :func:`wigner_ltd`, :func:`haar_ltd` and those of :func:`model_ltd` do.
-    ``support`` names where its limit lives; a double-tree scan with one
-    whose support is not ``"double_tree"`` is a ``ValueError``.
-    ``congruent_weight``, when present, is a function of a mapping from
-    label to congruent pad count (labels with none left out) that gives the
-    evaluator's value on every double tree with those counts.  Then the
-    double-tree scan only tallies the counts of its quotients and sums
-    multiplicity times weight, with no quotient graph or code.
+    The evaluator says where its limit lives by its ``support`` attribute,
+    as :func:`wigner_ltd`, :func:`haar_ltd` and those of :func:`model_ltd`
+    do; without one it is ``"double_tree"``, which carries every band-regime
+    limit but the fixed one.  Then only the double-tree quotients are
+    scanned; they are grouped by :func:`double_tree_code`, summed in code
+    order, and the representative is the first quotient of T the scan
+    yields in each class.  Any other support (the orthogonal limit lives on
+    cacti, the fixed-band one on every quotient) takes the full partition
+    lattice, grouped by ``graphs.shape_sum`` with canonical forms as
+    representatives.
+
+    An evaluator on double trees may also carry a ``congruent_weight``: a
+    function of a mapping from label to congruent pad count (labels with
+    none left out) that gives its value on every double tree with those
+    counts.  Then the scan only tallies the counts of its quotients and
+    sums multiplicity times weight, with no quotient graph or code.
     """
-    if support == "double_tree":
-        _require_double_tree_support(ltd_fn)
+    if getattr(ltd_fn, "support", "double_tree") == "double_tree":
         weight = getattr(ltd_fn, "congruent_weight", None)
         if weight is not None:
             tally: dict[tuple[tuple[str, int], ...], int] = {}
@@ -1029,14 +1016,12 @@ def ltd_trace(
                 else:
                     slot[1] += 1
             groups = [classes[code] for code in sorted(classes)]
-    elif support == "all":
+    else:
         from .partitions import enumerate_partitions
 
         groups = shape_sum(
             (quotient(T, pi), 1) for pi in enumerate_partitions(T.n_vertices)
         )
-    else:
-        raise ValueError(f"unknown support {support!r}")
     total: Number = 0
     for rep, count in groups:
         total = total + count * ltd_fn(rep)
@@ -1045,12 +1030,6 @@ def ltd_trace(
 
 # ---------------------------------------------------------------------------
 # matrix models
-
-def _regimes(model: MatrixModel) -> dict[str, str]:
-    """label -> band regime of the model, or "haar" for a Haar label."""
-    profiles = model.profiles()
-    return {lab: profiles[lab].regime if lab in profiles else "haar" for lab in model.labels}
-
 
 def model_ltd(model: MatrixModel) -> Callable[[TestGraph], Number]:
     """The injective-limit evaluator of a matrix model.
@@ -1063,14 +1042,16 @@ def model_ltd(model: MatrixModel) -> Callable[[TestGraph], Number]:
     bands, or Haar labels, with another regime is refused: no exact limit
     covers it.
 
-    Each evaluator declares what :func:`ltd_trace` may know of it.  The Haar
-    and fixed-band ones declare the support ``"all"``, as
-    :func:`model_support` gives.  The all-Wigner one declares a
-    ``congruent_weight`` when every pseudo-variance is an exact real (an
-    ``int`` or a ``Fraction``), so the double-tree scan counts pads instead
-    of building quotients.
+    Each evaluator declares what :func:`ltd_trace` may know of it, so
+    ``ltd_trace(T, model_ltd(model))`` is the limit of tau[T] with no
+    further word from the caller.  The Haar and fixed-band ones declare the
+    support ``"all"``, and the rest live on double trees.  The all-Wigner
+    one declares a ``congruent_weight`` when every pseudo-variance is an
+    exact real (an ``int`` or a ``Fraction``), so the double-tree scan
+    counts pads instead of building quotients.
     """
-    regime = _regimes(model)
+    profiles, entries = model.profiles(), model.entries()
+    regime = {lab: profiles[lab].regime if lab in profiles else "haar" for lab in model.labels}
     kinds = set(regime.values())
     for kind, what in (("fixed", "fixed bands"), ("haar", "haar")):
         if kind in kinds and kinds != {kind}:
@@ -1082,7 +1063,6 @@ def model_ltd(model: MatrixModel) -> Callable[[TestGraph], Number]:
             )
     if kinds == {"haar"}:
         return haar_ltd
-    profiles, entries = model.profiles(), model.entries()
     if kinds == {"fixed"}:
         bands = {lab: p.b for lab, p in profiles.items()}
         return _declare(support="all")(lambda T: fixed_band_ltd(T, bands, entries))
@@ -1092,16 +1072,3 @@ def model_ltd(model: MatrixModel) -> Callable[[TestGraph], Number]:
             lambda T: wigner_ltd(T, betas)
         )
     return lambda T: rbm_ltd(T, profiles, betas)
-
-
-def model_support(model: MatrixModel) -> str:
-    """Which quotients the limit of :func:`model_ltd` lives on, as the
-    ``support`` of :func:`ltd_trace`.
-
-    Band regimes other than fixed concentrate on double trees.  Haar limits
-    live on cacti and fixed-band limits on every quotient, so any label
-    without such a regime needs the full partition lattice.
-    """
-    if {"fixed", "haar"}.isdisjoint(_regimes(model).values()):
-        return "double_tree"
-    return "all"

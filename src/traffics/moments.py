@@ -57,14 +57,7 @@ from .graphs import (
     substitute_graph,
     unit_monomial,
 )
-from .limits import (
-    _require_double_tree_support,
-    can_pair,
-    catalan,
-    ltd_trace,
-    model_support,
-    wigner_ltd,
-)
+from .limits import can_pair, catalan, ltd_trace, wigner_ltd
 
 Number = Union[int, float, Fraction, complex]
 
@@ -160,6 +153,14 @@ def _necklaces(k: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
         p = j + 1
 
 
+def _require_double_tree_support(ltd_fn: Callable[[TestGraph], Number]) -> None:
+    """Refuse an evaluator whose limit lives off the double trees, which are
+    all the moment sums here scan."""
+    if getattr(ltd_fn, "support", "double_tree") != "double_tree":
+        raise ValueError("moment sums scan double-tree quotients only, so every label "
+                         "needs a band regime other than fixed")
+
+
 def _cyclic_word_ltd(
     polys: Sequence[TrafficPolynomial], ltd_fn: Callable[[TestGraph], Number]
 ) -> Number:
@@ -182,6 +183,11 @@ def _cyclic_word_ltd(
     runs, with terms named by their monomial and edgeless decorations left
     out, or, with no step, by its sorted decorations alone; equal keys
     close into isomorphic graphs.
+
+    The coefficient product of a class is taken over its sorted word, so
+    classes of one size and one multiset of terms share it.  That is exact
+    for ``int`` and ``Fraction`` coefficients; float and complex ones may
+    differ in their last bits from the product in word order.
 
     An evaluator that declares a support other than double trees is refused
     up front, even where every class would be dropped unscanned.
@@ -232,8 +238,8 @@ def _cyclic_word_ltd(
         return tuple(min(runs[i:] + runs[:i] for i in range(len(runs))))
 
     def weight(word: tuple[int, ...], count: int) -> tuple[Any, int]:
-        """count times the product of the word's coefficients, in word order,
-        and the xor of its terms' odd-label masks."""
+        """count times the product of the word's coefficients and the xor of
+        its terms' odd-label masks."""
         coeff: Any = count
         mask = 0
         for i in word:
@@ -241,15 +247,11 @@ def _cyclic_word_ltd(
             mask ^= odd[i]
         return coeff, mask
 
-    # exact products commute, so classes of one size and one multiset of terms
-    # share theirs; a float or complex product keeps its word's order, and so
-    # the bits that multiplying in that order gives
-    exact = all(type(c) in (int, Fraction) for _, c in terms)
     weights: dict[tuple[tuple[int, ...], int], tuple[Any, int]] = {}
 
     def closed() -> Iterator[tuple[Any, Any, Optional[Callable[[], TestGraph]]]]:
         for word, count in classes:
-            group = (tuple(sorted(word)) if exact else word, count)
+            group = (tuple(sorted(word)), count)
             if group not in weights:
                 weights[group] = weight(*group)
             coeff, mask = weights[group]
@@ -279,15 +281,9 @@ def traffic_moment(
     ltd = ltd_fn or wigner_ltd
     poly = _as_poly(a)
     if m == 0:
+        _require_double_tree_support(ltd)
         return ltd_trace(TestGraph(1), ltd)
     return _cyclic_word_ltd([poly] * m, ltd)
-
-
-def require_moment_support(model: Any) -> None:
-    """Refuse a matrix model whose limit the double-tree scans here miss."""
-    if model_support(model) != "double_tree":
-        raise ValueError("moment sums scan double-tree quotients only, so every label "
-                         "needs a band regime other than fixed")
 
 
 def mixed_moment_ltd(

@@ -9,8 +9,8 @@ from traffics import cli
 from traffics.cli import CSV_HEADER, main
 from traffics.ensembles import BandProfile, EntrySpec, MatrixModel
 from traffics.independence import build_double_tree_corpus, verify_traffic_independence
-from traffics.limits import fixed_band_ltd, rbm_ltd, wigner_ltd
-from traffics.moments import parse_poly, require_moment_support, traffic_moment
+from traffics.limits import fixed_band_ltd, model_ltd, rbm_ltd, wigner_ltd
+from traffics.moments import parse_poly, traffic_moment
 
 STAR = "n 3\ne 0 1 x\ne 1 0 x\ne 0 2 x\ne 2 0 x\n"
 PAD = "e 0 1 x; e 1 0 x"
@@ -119,6 +119,18 @@ def test_estimate_fixed_ensemble_theory_sums_every_quotient(capsys):
     row = out.splitlines()[1].split(",")
     assert abs(float(row[5]) - FIXED_PAD_TRACE) < 1e-9
     assert float(row[7]) < 3
+
+
+def test_estimate_haar_theory_sums_every_quotient(capsys):
+    # the anti-directed 4-cycle's trace limit is 1; its two double-tree
+    # quotients alone would give 2
+    code, out, _ = run(
+        capsys, "estimate", "--graph", ANTI4, "--ensemble", "haar", "--n", "30",
+        "--samples", "20", "--seed", "1",
+    )
+    assert code == 0
+    row = out.splitlines()[1].split(",")
+    assert row[5:7] == ["1", "0"]
 
 
 def test_ltd_complex_entry(capsys):
@@ -344,8 +356,14 @@ def test_moments_refuse_fixed_bands_with_the_shared_guard(capsys):
     code, out, err = run(capsys, "moments", "--poly", "x", "--order", "2", "--regime", "x=fixed:1")
     assert code == 2 and out == ""
     with pytest.raises(ValueError) as exc:
-        require_moment_support(MatrixModel({"x": BandProfile.parse("fixed:1")}))
+        traffic_moment("x", 1, model_ltd(MatrixModel({"x": BandProfile.parse("fixed:1")})))
     assert json.loads(err)["message"] == str(exc.value)
+    # a fixed band beside another regime meets the model's refusal first
+    code, out, err = run(capsys, "moments", "--poly", "x + y", "--regime", "x=fixed:1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["message"] == (
+        "fixed bands on x mixed with other regimes on y: no exact limit covers the mix"
+    )
 
 
 def test_moments_name_the_order_of_a_closed_graph_too_large(capsys):
